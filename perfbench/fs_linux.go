@@ -1,0 +1,28 @@
+package main
+
+import (
+	"fmt"
+	"syscall"
+)
+
+// fsType names the filesystem holding dir, so a run records whether its
+// store writes went to RAM or to a disk.
+func fsType(dir string) string {
+	var st syscall.Statfs_t
+	if err := syscall.Statfs(dir, &st); err != nil {
+		return "unknown"
+	}
+	switch st.Type {
+	case 0x01021994:
+		return "tmpfs"
+	case 0xEF53:
+		return "ext2/3/4"
+	case 0x58465342:
+		return "xfs"
+	case 0x9123683E:
+		return "btrfs"
+	case 0x794C7630:
+		return "overlayfs"
+	}
+	return fmt.Sprintf("fs type %#x", st.Type)
+}
