@@ -421,11 +421,45 @@ func BenchmarkVerdicts(b *testing.B) {
 
 func BenchmarkIntervalSeedSearch(b *testing.B) {
 	poly := lfsr.MustPrimitivePoly(16)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := partition.FindSeeds(poly, partition.AutoLenBits(638, 16), 638, 16, 8); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSuperpositionPrune times Diagnoser.Diagnose — intersection
+// candidates plus superposition pruning — over precomputed verdicts of a
+// 500-fault s13207 sample in the end-to-end benchmark's configuration
+// (two-step, 16 groups, 8 partitions, 128 patterns).
+func BenchmarkSuperpositionPrune(b *testing.B) {
+	cb, err := core.NewCircuitBench(benchgen.MustGenerate("s13207"), core.Options{
+		Scheme: partition.TwoStep{}, Groups: 16, Partitions: 8, Patterns: 128,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	art := cb.Artifacts()
+	var verdicts []*bist.Verdicts
+	for _, f := range sim.SampleFaults(cb.Faults(), 500, 1) {
+		if res := art.Sim.Run(f); res.Detected() {
+			verdicts = append(verdicts, art.Engine.Verdicts(art.Good, res.Faulty, art.Blocks))
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	sink := 0
+	for i := 0; i < b.N; i++ {
+		for _, v := range verdicts {
+			sink += art.Diag.Diagnose(v).Pruned.Len()
+		}
+	}
+	b.StopTimer()
+	if sink == 0 {
+		b.Fatal("no candidates")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(verdicts)), "ns/fault")
 }
 
 func BenchmarkCircuitGeneration(b *testing.B) {

@@ -44,11 +44,32 @@ type Diagnoser struct {
 	// perChain mirrors the engine's compactor arrangement: when set,
 	// verdict slot chain*NumGroups+g holds chain's group g.
 	perChain bool
+	// members[t] indexes partition t's cells by verdict slot.
+	members []slotIndex
+}
+
+// slotIndex lists one partition's cells grouped by verdict slot: slot g
+// holds cells[start[g]:start[g+1]], in scan order (chain, then position).
+type slotIndex struct {
+	start []int32
+	cells []int32
+}
+
+// slot returns the cells in verdict slot g.
+func (x *slotIndex) slot(g int) []int32 {
+	if g+1 >= len(x.start) {
+		return nil
+	}
+	return x.cells[x.start[g]:x.start[g+1]]
 }
 
 // New builds a Diagnoser. The partitions must cover each chain of cfg, one
 // list per chain with equal partition counts.
 func New(cfg scan.Config, parts [][]partition.Partition) (*Diagnoser, error) {
+	return newDiagnoser(cfg, parts, false)
+}
+
+func newDiagnoser(cfg scan.Config, parts [][]partition.Partition, perChain bool) (*Diagnoser, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -69,7 +90,45 @@ func New(cfg scan.Config, parts [][]partition.Partition) (*Diagnoser, error) {
 			}
 		}
 	}
-	return &Diagnoser{cfg: cfg, parts: parts}, nil
+	d := &Diagnoser{cfg: cfg, parts: parts, perChain: perChain, members: make([]slotIndex, max(k, 0))}
+	for t := range d.members {
+		d.members[t] = d.indexSlots(t)
+	}
+	return d, nil
+}
+
+// indexSlots builds partition t's slotIndex by a counting sort over the
+// scan order, so each slot keeps the order a scan of the configuration
+// meets its cells in.
+func (d *Diagnoser) indexSlots(t int) slotIndex {
+	numSlots := 0
+	for ci, ch := range d.cfg.Chains {
+		for pos := range ch.Cells {
+			numSlots = max(numSlots, d.groupOf(ci, pos, t)+1)
+		}
+	}
+	x := slotIndex{start: make([]int32, numSlots+1)}
+	for ci, ch := range d.cfg.Chains {
+		for pos := range ch.Cells {
+			if g := d.groupOf(ci, pos, t); g >= 0 {
+				x.start[g+1]++
+			}
+		}
+	}
+	for g := 1; g <= numSlots; g++ {
+		x.start[g] += x.start[g-1]
+	}
+	x.cells = make([]int32, x.start[numSlots])
+	next := append([]int32(nil), x.start[:numSlots]...)
+	for ci, ch := range d.cfg.Chains {
+		for pos, cell := range ch.Cells {
+			if g := d.groupOf(ci, pos, t); g >= 0 {
+				x.cells[next[g]] = int32(cell)
+				next[g]++
+			}
+		}
+	}
+	return x
 }
 
 // FromEngine builds a Diagnoser sharing an engine's configuration,
@@ -79,12 +138,7 @@ func FromEngine(e *bist.Engine) (*Diagnoser, error) {
 	for ci := range parts {
 		parts[ci] = e.ChainPartitions(ci)
 	}
-	d, err := New(e.Config(), parts)
-	if err != nil {
-		return nil, err
-	}
-	d.perChain = e.PerChainVerdicts()
-	return d, nil
+	return newDiagnoser(e.Config(), parts, e.PerChainVerdicts())
 }
 
 // NumPartitions returns the partition count per chain.
@@ -192,20 +246,7 @@ func (d *Diagnoser) prune(v *bist.Verdicts, cand *bitset.Set, kmax int) (pruned,
 	}
 	syndrome := make(map[int]uint64) // confirmed cell -> isolated error syndrome
 
-	// members lists the remaining candidate cells of each failing session.
 	type session struct{ t, g int }
-	members := func(s session) []int {
-		var cells []int
-		for ci, ch := range d.cfg.Chains {
-			for pos, cell := range ch.Cells {
-				if d.groupOf(ci, pos, s.t) == s.g && pruned.Contains(cell) {
-					cells = append(cells, cell)
-				}
-			}
-		}
-		return cells
-	}
-
 	if kmax > len(v.Fail) {
 		kmax = len(v.Fail)
 	}
@@ -218,13 +259,18 @@ func (d *Diagnoser) prune(v *bist.Verdicts, cand *bitset.Set, kmax int) (pruned,
 		}
 	}
 
+	var unknown []int
 	for changed := true; changed; {
 		changed = false
 		for _, s := range failing {
-			cells := members(s)
+			// The session's remaining candidates, in scan order.
 			residual := v.ErrSig[s.t][s.g]
-			var unknown []int
-			for _, c := range cells {
+			unknown = unknown[:0]
+			for _, c := range d.members[s.t].slot(s.g) {
+				c := int(c)
+				if !pruned.Contains(c) {
+					continue
+				}
 				if syn, ok := syndrome[c]; ok {
 					residual ^= syn
 				} else {

@@ -16,9 +16,10 @@
 package partition
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/lfsr"
 )
@@ -267,14 +268,20 @@ func coverError(lengths []int, n int) error {
 	return nil
 }
 
+// MaxSearchDegree is the largest LFSR degree FindSeeds searches. The
+// search visits all 2^d − 1 register states and holds them in memory
+// (4·2^d bytes, 64 MiB at the maximum), so a polynomial from an untrusted
+// source, such as a shard job, must not make it walk 2^40 states.
+const MaxSearchDegree = 24
+
 // FindSeeds selects count IVR seeds whose length sequences cover a chain of
 // n cells in exactly b intervals. The paper notes that seeds are
 // pre-computed and "carefully selected"; this search implements that
 // selection:
 //
-//  1. every seed of the register is scanned and seeds that repeat another
-//     seed's interval boundaries are deduplicated (a repeated partition
-//     adds sessions without information);
+//  1. every seed of the register is considered and seeds that repeat
+//     another seed's interval boundaries are deduplicated, keeping the
+//     smallest (a repeated partition adds sessions without information);
 //  2. covering partitions are ranked by balance (smallest maximum interval
 //     first) — a partition with one huge interval resolves poorly;
 //  3. from the balanced pool, seeds are picked greedily to maximise how
@@ -282,7 +289,7 @@ func coverError(lengths []int, n int) error {
 //     successive interval partitions refine rather than repeat each other.
 //
 // An error is returned when fewer than count distinct covering partitions
-// exist.
+// exist, or when the polynomial's degree exceeds MaxSearchDegree.
 func FindSeeds(poly lfsr.Poly, k, n, b, count int) ([]uint64, error) {
 	if k > poly.Degree() {
 		return nil, fmt.Errorf("partition: length field %d wider than LFSR degree %d", k, poly.Degree())
@@ -290,53 +297,47 @@ func FindSeeds(poly lfsr.Poly, k, n, b, count int) ([]uint64, error) {
 	if count <= 0 {
 		return nil, nil
 	}
-	type cand struct {
-		seed   uint64
-		bounds []int
-		maxLen int
+	l, err := lfsr.New(poly, 1)
+	if err != nil {
+		return nil, err
 	}
-	var cands []cand
-	seen := make(map[string]bool)
-	limit := uint64(1)<<uint(poly.Degree()) - 1
-	for seed := uint64(1); seed <= limit; seed++ {
-		l, err := lfsr.New(poly, seed)
-		if err != nil {
-			return nil, err
-		}
-		lengths := Lengths(l, k, b)
-		if coverError(lengths, n) != nil {
-			continue
-		}
-		bounds := boundaries(lengths, n)
-		key := fmt.Sprint(bounds)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		maxLen := 0
-		prev := 0
-		for _, cut := range bounds {
-			if cut-prev > maxLen {
-				maxLen = cut - prev
-			}
-			prev = cut
-		}
-		cands = append(cands, cand{seed: seed, bounds: bounds, maxLen: maxLen})
+	if d := l.Degree(); d > MaxSearchDegree {
+		return nil, fmt.Errorf("partition: interval seed search over a degree-%d LFSR (2^%d seeds) exceeds the maximum degree %d",
+			d, d, MaxSearchDegree)
 	}
+	cands, keys := coveringSeeds(l, k, n, b)
 	if len(cands) < count {
 		return nil, fmt.Errorf("partition: only %d of %d distinct covering partitions exist for n=%d b=%d k=%d",
 			len(cands), count, n, b, k)
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].maxLen != cands[j].maxLen {
-			return cands[i].maxLen < cands[j].maxLen
+	slices.SortFunc(cands, func(x, y seedCand) int {
+		if x.maxLen != y.maxLen {
+			return cmp.Compare(x.maxLen, y.maxLen)
 		}
-		return cands[i].seed < cands[j].seed
+		return cmp.Compare(x.seed, y.seed)
 	})
 	// Restrict to a balanced pool, then pick for boundary diversity.
-	pool := cands
-	if maxPool := count * 64; len(pool) > maxPool {
-		pool = pool[:maxPool]
+	if maxPool := count * 64; len(cands) > maxPool {
+		cands = cands[:maxPool]
+	}
+	type cand struct {
+		seed   uint64
+		bounds []int
+	}
+	pool := make([]cand, len(cands))
+	flat := make([]int, len(cands)*b)
+	for i, c := range cands {
+		bounds := flat[i*b : (i+1)*b]
+		pos := 0
+		for j := range bounds {
+			if j < b-1 {
+				pos += int(keys[c.key+j])
+			} else {
+				pos = n
+			}
+			bounds[j] = pos
+		}
+		pool[i] = cand{seed: c.seed, bounds: bounds}
 	}
 	chosen := []cand{pool[0]}
 	used := map[uint64]bool{pool[0].seed: true}
@@ -366,19 +367,136 @@ func FindSeeds(poly lfsr.Poly, k, n, b, count int) ([]uint64, error) {
 	return seeds, nil
 }
 
-// boundaries converts a covering length sequence into cut positions
-// truncated at the chain end.
-func boundaries(lengths []int, n int) []int {
-	bounds := make([]int, len(lengths))
-	pos := 0
-	for i, ln := range lengths {
-		pos += ln
-		if pos > n {
-			pos = n
+// seedCand is one distinct covering partition found by coveringSeeds.
+type seedCand struct {
+	seed   uint64 // smallest seed producing the partition
+	maxLen int    // longest interval, the last truncated at the chain end
+	key    int    // offset of its first b−1 interval lengths in the arena
+}
+
+// coveringSeeds returns every distinct partition of a chain of n cells
+// into b non-empty intervals that a seed of l's register produces, each
+// with its smallest seed, plus the arena holding each partition's first
+// b−1 interval lengths (they fix all b cuts; the last is always n).
+//
+// Instead of clocking a fresh register through Lengths for every seed, it
+// walks each cycle of the register's state graph once. With a constant
+// term the feedback map permutes the 2^d − 1 nonzero states, so they fall
+// into disjoint cycles (exactly one for a primitive polynomial). When seed
+// s sits at position p of a cycle of length L, Lengths takes reading i
+// after i·k clocks, from the state at position (p + i·k) mod L: every
+// seed's readings are the stored cycle's states k apart, masked to k bits.
+func coveringSeeds(l *lfsr.LFSR, k, n, b int) ([]seedCand, []uint32) {
+	total := uint64(1)<<uint(l.Degree()) - 1
+	states := make([]uint32, 0, total) // every cycle, laid end to end
+	visited := make([]uint64, total/64+1)
+	// The same reading arithmetic as Lengths, which clocks max(k, 0)
+	// times between readings.
+	stride := max(k, 0)
+	mask := uint64(1)<<uint(k) - 1
+	full := 1 << uint(k)
+	var (
+		cands []seedCand
+		keys  []uint32
+		dedup = keyTable{heads: make(map[uint64]int32)}
+		key   = make([]uint32, 0, max(b-1, 0))
+	)
+	for start := uint64(1); start <= total; start++ {
+		if visited[start/64]>>(start%64)&1 != 0 {
+			continue
 		}
-		bounds[i] = pos
+		base := len(states)
+		_ = l.Seed(start) // nonzero and within the register width
+		for s := start; ; {
+			visited[s/64] |= 1 << (s % 64)
+			states = append(states, uint32(s))
+			l.Step()
+			if s = l.State(); s == start {
+				break
+			}
+		}
+		cycle := states[base:]
+		step := stride % len(cycle)
+	seeds:
+		for p, s := range cycle {
+			key = key[:0]
+			sum, maxLen, j := 0, 0, p
+			for i := 0; i < b; i++ {
+				if sum >= n {
+					continue seeds // interval i would be empty
+				}
+				v := int(uint64(cycle[j]) & mask)
+				if v == 0 {
+					v = full
+				}
+				if i < b-1 {
+					key = append(key, uint32(v))
+					maxLen = max(maxLen, v)
+				} else {
+					maxLen = max(maxLen, n-sum)
+				}
+				sum += v
+				if j += step; j >= len(cycle) {
+					j -= len(cycle)
+				}
+			}
+			if sum < n {
+				continue
+			}
+			if c, ok := dedup.find(key, keys, cands); ok {
+				cands[c].seed = min(cands[c].seed, uint64(s))
+				continue
+			}
+			dedup.add(key, len(cands))
+			cands = append(cands, seedCand{seed: uint64(s), maxLen: maxLen, key: len(keys)})
+			keys = append(keys, key...)
+		}
 	}
-	return bounds
+	return cands, keys
+}
+
+// keyTable indexes coveringSeeds' candidates by their interval lengths
+// without a string key per candidate: a hash maps to the newest candidate
+// with that hash, and next chains the older ones.
+type keyTable struct {
+	heads map[uint64]int32
+	next  []int32 // next[c]: older candidate with c's hash, or −1
+}
+
+// find returns the candidate whose lengths equal key.
+func (t *keyTable) find(key, keys []uint32, cands []seedCand) (int, bool) {
+	c, ok := t.heads[hashKey(key)]
+	if !ok {
+		return 0, false
+	}
+	for ; c >= 0; c = t.next[c] {
+		off := cands[c].key
+		if slices.Equal(keys[off:off+len(key)], key) {
+			return int(c), true
+		}
+	}
+	return 0, false
+}
+
+// add records candidate c, whose lengths are key.
+func (t *keyTable) add(key []uint32, c int) {
+	h := hashKey(key)
+	prev, ok := t.heads[h]
+	if !ok {
+		prev = -1
+	}
+	t.heads[h] = int32(c)
+	t.next = append(t.next, prev)
+}
+
+// hashKey mixes the lengths FNV-1a style, one word at a time.
+func hashKey(key []uint32) uint64 {
+	h := uint64(14695981039346656037)
+	for _, v := range key {
+		h ^= uint64(v)
+		h *= 1099511628211
+	}
+	return h
 }
 
 // cutDistance sums the absolute offsets between two partitions' cut
