@@ -462,6 +462,39 @@ func BenchmarkSuperpositionPrune(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(verdicts)), "ns/fault")
 }
 
+// BenchmarkPlanBatchesCold times the cold plan build of the end-to-end
+// benchmark's cold operation: list-order packing of a 500-fault s13207
+// sample on a circuit whose cones are not memoized yet, so every cone is
+// walked. Each iteration generates a fresh circuit outside the timer.
+func BenchmarkPlanBatchesCold(b *testing.B) {
+	c := benchgen.MustGenerate("s13207")
+	faults := sim.SampleFaults(sim.CollapseFaults(c, sim.FullFaultList(c)), 500, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c := benchgen.MustGenerate("s13207")
+		b.StartTimer()
+		if p := sim.PlanBatches(c, faults, sim.BatchOptions{ScanOrder: true}); p.NumFaults() != len(faults) {
+			b.Fatal("plan does not cover the sample")
+		}
+	}
+}
+
+// BenchmarkCollapseFaults times equivalence collapsing of the full s13207
+// stuck-at fault list.
+func BenchmarkCollapseFaults(b *testing.B) {
+	c := benchgen.MustGenerate("s13207")
+	full := sim.FullFaultList(c)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(sim.CollapseFaults(c, full)) == 0 {
+			b.Fatal("empty collapsed list")
+		}
+	}
+}
+
 func BenchmarkCircuitGeneration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		benchgen.MustGenerate("s13207")

@@ -8,7 +8,9 @@ package circuit
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/logic"
@@ -40,6 +42,7 @@ type Circuit struct {
 	dffIdx  map[NetID]int // DFF output net -> position in DFFs
 	levelOf []int32       // per-net level; inputs and DFF outputs are level 0
 	cones   []atomic.Pointer[Cone]
+	walks   sync.Pool // of *coneWalk
 }
 
 // Raw assembles a Circuit directly from its structural fields, bypassing
@@ -151,24 +154,9 @@ func (c *Circuit) DFFIndex(id NetID) int {
 // via their D input are included as frontier nodes but not expanded, since
 // an error stops there until the next clock.
 func (c *Circuit) FanoutCone(start NetID) []NetID {
-	seen := make(map[NetID]bool)
-	stack := []NetID{start}
-	var cone []NetID
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[id] {
-			continue
-		}
-		seen[id] = true
-		cone = append(cone, id)
-		if c.Nets[id].Op == logic.OpDFF && id != start {
-			continue // error is captured; do not cross the register
-		}
-		stack = append(stack, c.fanout[id]...)
-	}
-	sort.Slice(cone, func(i, j int) bool { return cone[i] < cone[j] })
-	return cone
+	w := c.getWalk()
+	defer c.walks.Put(w)
+	return c.fanoutWalk(w, start)
 }
 
 // ConeCells returns the scan-order indices of the flip-flops whose D inputs
@@ -177,18 +165,10 @@ func (c *Circuit) FanoutCone(start NetID) []NetID {
 // A flip-flop whose output is start itself is included when its own D input
 // is reachable (a state self-loop).
 func (c *Circuit) ConeCells(start NetID) []int {
-	inCone := make(map[NetID]bool)
-	for _, id := range c.FanoutCone(start) {
-		inCone[id] = true
-	}
-	var cells []int
-	for i, id := range c.DFFs {
-		if inCone[c.Nets[id].Fanin[0]] {
-			cells = append(cells, i)
-		}
-	}
-	sort.Ints(cells)
-	return cells
+	w := c.getWalk()
+	defer c.walks.Put(w)
+	c.fanoutWalk(w, start)
+	return c.walkCells(w)
 }
 
 // Cone is the memoized reachability summary of one fault site: the nets of
@@ -217,24 +197,78 @@ func (c *Circuit) Cone(start NetID) *Cone {
 	if cone := c.cones[start].Load(); cone != nil {
 		return cone
 	}
-	inCone := make(map[NetID]bool)
-	nets := c.FanoutCone(start)
-	for _, id := range nets {
-		inCone[id] = true
-	}
-	cone := &Cone{Nets: nets}
-	for i, id := range c.DFFs {
-		if inCone[c.Nets[id].Fanin[0]] {
-			cone.Cells = append(cone.Cells, i)
-		}
-	}
+	w := c.getWalk()
+	cone := &Cone{Nets: c.fanoutWalk(w, start), Cells: c.walkCells(w)}
 	for i, id := range c.Outputs {
-		if inCone[id] {
+		if w.visited(id) {
 			cone.POs = append(cone.POs, i)
 		}
 	}
+	c.walks.Put(w)
 	c.cones[start].Store(cone)
 	return c.cones[start].Load()
+}
+
+// coneWalk is the reusable state of one fan-out walk: a per-net visit
+// stamp (a net belongs to the current walk's cone iff its mark equals
+// epoch, so starting a walk clears nothing) and the DFS stack. Walks come
+// from the circuit's pool, so concurrent Cone calls never share one.
+type coneWalk struct {
+	mark  []uint32
+	epoch uint32
+	stack []NetID
+}
+
+func (w *coneWalk) visited(id NetID) bool { return w.mark[id] == w.epoch }
+
+// getWalk takes a walk from the pool and opens a fresh epoch on it.
+func (c *Circuit) getWalk() *coneWalk {
+	w, _ := c.walks.Get().(*coneWalk)
+	if w == nil {
+		w = &coneWalk{mark: make([]uint32, len(c.Nets))}
+	}
+	w.epoch++
+	if w.epoch == 0 {
+		clear(w.mark)
+		w.epoch = 1
+	}
+	return w
+}
+
+// fanoutWalk stamps start's combinational fan-out cone into w and returns
+// its nets in ascending order.
+func (c *Circuit) fanoutWalk(w *coneWalk, start NetID) []NetID {
+	var cone []NetID
+	w.mark[start] = w.epoch
+	w.stack = append(w.stack[:0], start)
+	for len(w.stack) > 0 {
+		id := w.stack[len(w.stack)-1]
+		w.stack = w.stack[:len(w.stack)-1]
+		cone = append(cone, id)
+		if c.Nets[id].Op == logic.OpDFF && id != start {
+			continue // error is captured; do not cross the register
+		}
+		for _, succ := range c.fanout[id] {
+			if !w.visited(succ) {
+				w.mark[succ] = w.epoch
+				w.stack = append(w.stack, succ)
+			}
+		}
+	}
+	slices.Sort(cone)
+	return cone
+}
+
+// walkCells returns, in scan order, the flip-flops whose D input the last
+// walk on w stamped.
+func (c *Circuit) walkCells(w *coneWalk) []int {
+	var cells []int
+	for i, id := range c.DFFs {
+		if w.visited(c.Nets[id].Fanin[0]) {
+			cells = append(cells, i)
+		}
+	}
+	return cells
 }
 
 // FaninCone returns every net the cell's captured value combinationally
@@ -286,20 +320,20 @@ func (c *Circuit) SuspectRegion(failingCells []int) []NetID {
 	return region
 }
 
-// ConeOutputs returns the primary outputs in the combinational fan-out cone
-// of start.
+// ConeOutputs returns the distinct primary output nets in the
+// combinational fan-out cone of start, in ascending NetID order.
 func (c *Circuit) ConeOutputs(start NetID) []NetID {
-	isOut := make(map[NetID]bool, len(c.Outputs))
-	for _, o := range c.Outputs {
-		isOut[o] = true
-	}
+	w := c.getWalk()
+	defer c.walks.Put(w)
+	c.fanoutWalk(w, start)
 	var outs []NetID
-	for _, id := range c.FanoutCone(start) {
-		if isOut[id] {
-			outs = append(outs, id)
+	for _, o := range c.Outputs {
+		if w.visited(o) {
+			outs = append(outs, o)
 		}
 	}
-	return outs
+	slices.Sort(outs)
+	return slices.Compact(outs)
 }
 
 // Stats summarises the structural composition of a circuit.

@@ -311,44 +311,3 @@ func TestSuspectRegionContainsFaultSite(t *testing.T) {
 		t.Error("empty failing set should yield nil region")
 	}
 }
-
-// TestConeMatchesUnmemoizedQueries pins the memoized Cone summary to the
-// per-call FanoutCone/ConeCells/ConeOutputs queries for every net, and
-// checks that repeated calls return the shared copy.
-func TestConeMatchesUnmemoizedQueries(t *testing.T) {
-	c := buildS27Like(t)
-	for id := NetID(0); int(id) < c.NumNets(); id++ {
-		cone := c.Cone(id)
-		wantNets := c.FanoutCone(id)
-		if len(cone.Nets) != len(wantNets) {
-			t.Fatalf("Cone(%d).Nets = %v, FanoutCone = %v", id, cone.Nets, wantNets)
-		}
-		for i := range wantNets {
-			if cone.Nets[i] != wantNets[i] {
-				t.Fatalf("Cone(%d).Nets = %v, FanoutCone = %v", id, cone.Nets, wantNets)
-			}
-		}
-		wantCells := c.ConeCells(id)
-		if len(cone.Cells) != len(wantCells) {
-			t.Fatalf("Cone(%d).Cells = %v, ConeCells = %v", id, cone.Cells, wantCells)
-		}
-		for i := range wantCells {
-			if cone.Cells[i] != wantCells[i] {
-				t.Fatalf("Cone(%d).Cells = %v, ConeCells = %v", id, cone.Cells, wantCells)
-			}
-		}
-		wantOuts := c.ConeOutputs(id)
-		if len(cone.POs) != len(wantOuts) {
-			t.Fatalf("Cone(%d).POs = %v, ConeOutputs = %v", id, cone.POs, wantOuts)
-		}
-		for i, pos := range cone.POs {
-			if c.Outputs[pos] != wantOuts[i] {
-				t.Fatalf("Cone(%d).POs[%d] = output %d (net %d), ConeOutputs = %v",
-					id, i, pos, c.Outputs[pos], wantOuts)
-			}
-		}
-		if again := c.Cone(id); again != cone {
-			t.Fatalf("Cone(%d) recomputed instead of returning the memoized copy", id)
-		}
-	}
-}

@@ -419,9 +419,11 @@ func planCoversTransitionFaults(p *sim.BatchPlan, faults []sim.TransitionFault, 
 // building at most once per content key. Tiering mirrors the simulation
 // layer: memory LRU, then the disk tier (decode, validate exhaustively,
 // promote), then a fresh schedule-and-compile with write-through. A nil
-// cache builds fresh. Plans depend only on the circuit and fault list —
-// not the pattern set — so every scheme and noise sweep over one fault
-// sample shares a single plan.
+// cache builds fresh. The write-through lands before the entry is costed:
+// costing makes it evictable, and a lookup that found it evicted before
+// the blob was on disk would build the plan a second time. Plans depend
+// only on the circuit and fault list — not the pattern set — so every
+// scheme and noise sweep over one fault sample shares a single plan.
 func (c *ArtifactCache) Plan(ct *circuit.Circuit, faults []sim.Fault, opt sim.BatchOptions) *sim.BatchPlan {
 	if c == nil {
 		return sim.PlanBatches(ct, faults, opt)
@@ -441,9 +443,9 @@ func (c *ArtifactCache) Plan(ct *circuit.Circuit, faults []sim.Fault, opt sim.Ba
 		}
 		p := sim.PlanBatches(ct, faults, opt)
 		e.val = p
-		c.setCost(e.node, p.MemoryFootprint())
 		c.diskWrite(key, func() []byte { return codec.EncodeBatchPlan(ct, p) })
 		c.saveCones(ct)
+		c.setCost(e.node, p.MemoryFootprint())
 	})
 	return e.val
 }
@@ -468,9 +470,9 @@ func (c *ArtifactCache) TransitionPlan(ct *circuit.Circuit, faults []sim.Transit
 		}
 		p := sim.PlanTransitionBatches(ct, faults, opt)
 		e.val = p
-		c.setCost(e.node, p.MemoryFootprint())
 		c.diskWrite(key, func() []byte { return codec.EncodeBatchPlan(ct, p) })
 		c.saveCones(ct)
+		c.setCost(e.node, p.MemoryFootprint())
 	})
 	return e.val
 }

@@ -7,7 +7,9 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/benchgen"
 	"repro/internal/codec"
@@ -500,6 +502,73 @@ func TestTieredStoreTorture(t *testing.T) {
 	}
 	if st := third.Stats(); st.Corruptions != 0 || st.DiskWrites != 0 {
 		t.Errorf("stats %+v after repair: want a clean promote", st)
+	}
+}
+
+// racingPutStore is a BlobStore whose first plan Put runs race before
+// storing the blob, so a test can act while a freshly built plan is being
+// written through.
+type racingPutStore struct {
+	BlobStore
+	race     func()
+	planPuts atomic.Int32
+}
+
+func (s *racingPutStore) Put(key string, data []byte) error {
+	if strings.HasPrefix(key, "plan|") && s.planPuts.Add(1) == 1 {
+		s.race()
+	}
+	return s.BlobStore.Put(key, data)
+}
+
+// TestPlanWriteThroughBeforeEviction pins the order of a plan build's last
+// steps under a budget that evicts every entry as soon as it is costed: a
+// lookup of the same key made while the plan is being written through must
+// find the entry still cached and share its build. Had costing come first,
+// the lookup would miss in memory and on disk and build the plan again.
+func TestPlanWriteThroughBeforeEviction(t *testing.T) {
+	c := benchgen.MustGenerate("s298")
+	faults := sim.CollapseFaults(c, sim.FullFaultList(c))
+	opt := sim.BatchOptions{MaxLanes: 8}
+	cache := NewCacheWithBudget(Budget{MaxBytes: 1})
+	store := &racingPutStore{BlobStore: openDisk(t, t.TempDir())}
+	cache.AttachDisk(store)
+
+	concurrent := make(chan *sim.BatchPlan, 1)
+	finished := make(chan struct{})
+	store.race = func() {
+		before := cache.Stats()
+		go func() {
+			defer close(finished)
+			concurrent <- cache.Plan(c, faults, opt)
+		}()
+		// Wait for the concurrent lookup. A hit waits on this build, so
+		// return and let it finish; a miss builds on its own, so let that
+		// build complete first and the test count it.
+		for polls := 0; polls < 30000; polls++ {
+			st := cache.Stats()
+			switch {
+			case st.PlanHits > before.PlanHits:
+				return
+			case st.PlanMisses > before.PlanMisses:
+				<-finished
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+		t.Error("concurrent Plan lookup never happened")
+	}
+
+	p := cache.Plan(c, faults, opt)
+	q := <-concurrent
+	if n := store.planPuts.Load(); n != 1 {
+		t.Errorf("plan built and written %d times, want 1", n)
+	}
+	if q != p {
+		t.Error("concurrent lookup did not share the plan being written through")
+	}
+	if st := cache.Stats(); st.PlanMisses != 1 || st.DiskWrites != 2 || st.Evictions == 0 {
+		t.Errorf("stats %+v: want one plan miss, a plan and a cone write, and an eviction", st)
 	}
 }
 

@@ -1,10 +1,11 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/circuit"
@@ -1139,15 +1140,16 @@ type batchSpec struct {
 
 // compileScratch is the compiler's reusable per-plan state: an
 // epoch-stamped slot map so per-batch compilation never clears O(nets)
-// arrays, plus the extension-slot depth table driving the (depth, op)
-// record sort.
+// arrays, plus the extension-slot depth table and the bucket counters
+// driving the (depth, op) record sort.
 type compileScratch struct {
-	slotOf []int32
-	slotAt []uint32
-	epoch  uint32
-	union  []circuit.NetID
-	depths []int16   // per extension slot
-	tmp    []tmpGate // records under construction, before the (depth, op) sort
+	slotOf  []int32
+	slotAt  []uint32
+	epoch   uint32
+	union   []circuit.NetID
+	depths  []int16   // per extension slot
+	tmp     []tmpGate // records under construction, before the (depth, op) sort
+	buckets []int32   // per (depth, op) key: record count, then next output position
 }
 
 // tmpGate is a kernel record during compilation: bgate plus the op and
@@ -1392,27 +1394,7 @@ func compileBatch(c *circuit.Circuit, spec batchSpec, cs *compileScratch) *Compi
 		}
 	}
 
-	// Sort records by (depth, op): dependency-safe, since a reader's depth
-	// strictly exceeds its operands', and same-op streaks become the opRuns
-	// the kernels iterate, with the op hoisted out of the record loop.
-	sort.SliceStable(cs.tmp, func(i, j int) bool {
-		if cs.tmp[i].depth != cs.tmp[j].depth {
-			return cs.tmp[i].depth < cs.tmp[j].depth
-		}
-		return cs.tmp[i].op < cs.tmp[j].op
-	})
-	cb.gates = make([]bgate, len(cs.tmp))
-	for i, t := range cs.tmp {
-		cb.gates[i] = bgate{a: t.a, b: t.b, out: t.out}
-	}
-	for i := 0; i < len(cs.tmp); {
-		j := i + 1
-		for j < len(cs.tmp) && cs.tmp[j].op == cs.tmp[i].op {
-			j++
-		}
-		cb.runs = append(cb.runs, opRun{start: int32(i), end: int32(j), op: cs.tmp[i].op})
-		i = j
-	}
+	cb.gates, cb.runs = orderRecords(cs)
 
 	// Observation points: each member's cone cells and POs, plus the forced
 	// captures of DFF D-branch members. In-plane disjointness makes owners
@@ -1436,6 +1418,53 @@ func compileBatch(c *circuit.Circuit, spec batchSpec, cs *compileScratch) *Compi
 	sortCaps(cb.pos)
 	cb.nExt = int(nExt)
 	return cb
+}
+
+// numBops is the number of kernel micro-ops, the op radix of the record
+// sort key.
+const numBops = int(bopTransForce) + 1
+
+// orderRecords sorts the compiled records by (depth, op) — dependency-safe,
+// since a reader's depth strictly exceeds its operands' — with a stable
+// counting sort over the key depth·numBops + op, and cuts the ordered
+// stream into the opRuns the kernels iterate: maximal same-op streaks,
+// with the op hoisted out of the record loop. Records of one key keep
+// their emission order, so the result equals a stable comparison sort.
+func orderRecords(cs *compileScratch) ([]bgate, []opRun) {
+	key := func(t *tmpGate) int { return int(t.depth)*numBops + int(t.op) }
+	maxDepth := int16(0)
+	for i := range cs.tmp {
+		maxDepth = max(maxDepth, cs.tmp[i].depth)
+	}
+	nKeys := (int(maxDepth) + 1) * numBops
+	cs.buckets = slices.Grow(cs.buckets[:0], nKeys)[:nKeys]
+	clear(cs.buckets)
+	for i := range cs.tmp {
+		cs.buckets[key(&cs.tmp[i])]++
+	}
+	var runs []opRun
+	pos := int32(0)
+	for k, n := range cs.buckets {
+		if n == 0 {
+			continue
+		}
+		op := uint8(k % numBops)
+		if last := len(runs) - 1; last >= 0 && runs[last].op == op {
+			runs[last].end += n
+		} else {
+			runs = append(runs, opRun{start: pos, end: pos + n, op: op})
+		}
+		cs.buckets[k] = pos
+		pos += n
+	}
+	gates := make([]bgate, len(cs.tmp))
+	for i := range cs.tmp {
+		t := &cs.tmp[i]
+		k := key(t)
+		gates[cs.buckets[k]] = bgate{a: t.a, b: t.b, out: t.out}
+		cs.buckets[k]++
+	}
+	return gates, runs
 }
 
 // emitGate decomposes one gate into binary kernel records, matching
@@ -1497,12 +1526,11 @@ func emitGate(cs *compileScratch, op logic.Op, operands []int32, out int32, dept
 // sortByLevel orders nets by (level, id) — a topological order, since a
 // combinational gate's level exceeds all of its fan-ins'.
 func sortByLevel(c *circuit.Circuit, nets []circuit.NetID) {
-	sort.Slice(nets, func(i, j int) bool {
-		li, lj := c.Level(nets[i]), c.Level(nets[j])
-		if li != lj {
-			return li < lj
+	slices.SortFunc(nets, func(a, b circuit.NetID) int {
+		if la, lb := c.Level(a), c.Level(b); la != lb {
+			return cmp.Compare(la, lb)
 		}
-		return nets[i] < nets[j]
+		return cmp.Compare(a, b)
 	})
 }
 
@@ -1512,14 +1540,14 @@ func sortCaps(caps []bcap) {
 	// planes sharing a slot, then forced captures on constant slots — for
 	// a deterministic compile. Per-member result state is order-insensitive
 	// (patch lists hold distinct indices whose application commutes).
-	sort.Slice(caps, func(i, j int) bool {
-		if caps[i].slot != caps[j].slot {
-			return caps[i].slot < caps[j].slot
+	slices.SortFunc(caps, func(a, b bcap) int {
+		if a.slot != b.slot {
+			return cmp.Compare(a.slot, b.slot)
 		}
-		if caps[i].owner != caps[j].owner {
-			return caps[i].owner < caps[j].owner
+		if a.owner != b.owner {
+			return cmp.Compare(a.owner, b.owner)
 		}
-		return caps[i].idx < caps[j].idx
+		return cmp.Compare(a.idx, b.idx)
 	})
 }
 

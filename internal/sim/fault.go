@@ -42,7 +42,15 @@ func (f Fault) Describe(c *circuit.Circuit) string {
 // driving net has fan-out greater than one (with fan-out of one the branch
 // fault is identical to the stem fault and is omitted at generation time).
 func FullFaultList(c *circuit.Circuit) []Fault {
-	var faults []Fault
+	size := 2 * len(c.Nets)
+	for id := range c.Nets {
+		for _, src := range c.Nets[id].Fanin {
+			if len(c.Fanout(src)) > 1 {
+				size += 2
+			}
+		}
+	}
+	faults := make([]Fault, 0, size)
 	for id := range c.Nets {
 		for _, v := range []uint8{0, 1} {
 			faults = append(faults, Fault{Net: circuit.NetID(id), Gate: -1, Pin: -1, Stuck: v})
@@ -79,9 +87,45 @@ func FullFaultList(c *circuit.Circuit) []Fault {
 // captured and shifted out by that cell, while the Q-output fault only
 // corrupts downstream logic — observably different behaviours.
 func CollapseFaults(c *circuit.Circuit, faults []Fault) []Fault {
-	idx := make(map[Fault]int, len(faults))
+	// Dense slot tables stand in for a Fault-keyed index: stem (net, v)
+	// lives at stems[2·net+v] and branch (gate, pin, v) at
+	// branches[2·(pinBase[gate]+pin)+v]. A slot holds the list position of
+	// the fault's last occurrence, or -1. A fault that names no slot —
+	// out-of-range net, gate or pin, a stuck value above 1, or a branch
+	// whose Net is not the gate's fan-in at Pin — equals no fault the rules
+	// below name, so it never merges and survives as its own class.
+	nNets := len(c.Nets)
+	pinBase := make([]int32, nNets+1)
+	for id := range c.Nets {
+		pinBase[id+1] = pinBase[id] + int32(len(c.Nets[id].Fanin))
+	}
+	stems := make([]int32, 2*nNets)
+	branches := make([]int32, 2*pinBase[nNets])
+	for i := range stems {
+		stems[i] = -1
+	}
+	for i := range branches {
+		branches[i] = -1
+	}
+	slotOf := func(f Fault) *int32 {
+		if f.Stuck > 1 || f.Net < 0 || int(f.Net) >= nNets {
+			return nil
+		}
+		if f.Gate == -1 && f.Pin == -1 {
+			return &stems[2*int(f.Net)+int(f.Stuck)]
+		}
+		if f.Gate < 0 || int(f.Gate) >= nNets || f.Pin < 0 {
+			return nil
+		}
+		if fanin := c.Nets[f.Gate].Fanin; f.Pin >= len(fanin) || fanin[f.Pin] != f.Net {
+			return nil
+		}
+		return &branches[2*(int(pinBase[f.Gate])+f.Pin)+int(f.Stuck)]
+	}
 	for i, f := range faults {
-		idx[f] = i
+		if slot := slotOf(f); slot != nil {
+			*slot = int32(i)
+		}
 	}
 	parent := make([]int, len(faults))
 	for i := range parent {
@@ -95,13 +139,11 @@ func CollapseFaults(c *circuit.Circuit, faults []Fault) []Fault {
 		}
 		return x
 	}
-	union := func(a, b Fault) {
-		ia, oka := idx[a]
-		ib, okb := idx[b]
-		if !oka || !okb {
+	union := func(ia, ib int32) {
+		if ia < 0 || ib < 0 {
 			return
 		}
-		ra, rb := find(ia), find(ib)
+		ra, rb := find(int(ia)), find(int(ib))
 		if ra != rb {
 			// Prefer the earlier (stem) fault as representative.
 			if ra < rb {
@@ -112,20 +154,21 @@ func CollapseFaults(c *circuit.Circuit, faults []Fault) []Fault {
 		}
 	}
 
-	// inputFault returns the fault on pin `pin` of gate g: the branch fault
-	// if the driver fans out, otherwise the driver's stem fault.
-	inputFault := func(g circuit.NetID, pin int, v uint8) Fault {
+	// inputFault returns the slot of the fault on pin `pin` of gate g: the
+	// branch fault if the driver fans out, otherwise the driver's stem
+	// fault.
+	inputFault := func(g circuit.NetID, pin int, v uint8) int32 {
 		src := c.Nets[g].Fanin[pin]
 		if len(c.Fanout(src)) > 1 {
-			return Fault{Net: src, Gate: g, Pin: pin, Stuck: v}
+			return branches[2*(int(pinBase[g])+pin)+int(v)]
 		}
-		return Fault{Net: src, Gate: -1, Pin: -1, Stuck: v}
+		return stems[2*int(src)+int(v)]
 	}
 
 	for id := range c.Nets {
 		g := circuit.NetID(id)
 		n := &c.Nets[id]
-		out := func(v uint8) Fault { return Fault{Net: g, Gate: -1, Pin: -1, Stuck: v} }
+		out := func(v uint8) int32 { return stems[2*id+int(v)] }
 		switch n.Op {
 		case logic.OpBuf:
 			union(inputFault(g, 0, 0), out(0))
