@@ -12,343 +12,170 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
+	"io"
 	"os"
-	"os/signal"
-	"runtime"
-	"runtime/pprof"
-	"strings"
 
-	"repro/internal/bench"
-	"repro/internal/benchgen"
 	"repro/internal/bist"
-	"repro/internal/circuit"
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/drc"
 	"repro/internal/noise"
-	"repro/internal/partition"
-	"repro/internal/pipeline"
 	"repro/internal/scan"
 	"repro/internal/shard"
 	"repro/internal/sim"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	c := cli.New("scandiag", stdout, stderr)
+	circ := c.CircuitFlags("s953", true)
+	plan := c.PlanFlags()
+	sample := c.SampleFlags()
+	workers := c.WorkersFlag()
+	lanes := c.LanesFlag()
+	drcCheck := c.DRCFlag()
+	c.TimeoutFlag()
+	c.ProfileFlags()
+	c.CacheFlags(true)
+	c.ShardFlags()
 	var (
-		name         = flag.String("circuit", "s953", "built-in benchmark profile to generate")
-		benchPath    = flag.String("bench", "", "path to an ISCAS-89 .bench netlist (overrides -circuit)")
-		schemeName   = flag.String("scheme", "two-step", "partitioning scheme: two-step|random|interval|fixed")
-		groups       = flag.Int("groups", 4, "groups per partition")
-		partitions   = flag.Int("partitions", 8, "number of partitions")
-		patterns     = flag.Int("patterns", 128, "pseudorandom patterns per BIST session")
-		faults       = flag.Int("faults", 500, "stuck-at faults to sample")
-		seed         = flag.Int64("seed", 1, "fault sampling seed")
-		workers      = flag.Int("workers", 0, "goroutines for the fault sweep (0 = all CPUs, 1 = serial; results are identical)")
-		lanes        = flag.Int("lanes", 0, "fault lanes per batch, 1-256 (0 = engine default 256; above 64 engages the wide-word kernel)")
-		chains       = flag.Int("chains", 1, "number of balanced scan chains")
-		order        = flag.String("order", "natural", "scan order: natural|random|reverse")
-		ideal        = flag.Bool("ideal", false, "bypass the MISR (alias-free compaction)")
-		drcCheck     = flag.Bool("drc", false, "run the static design-rule checker on the netlist and refuse to simulate on violations")
-		verbose      = flag.Bool("verbose", false, "print each fault's candidate set")
-		intermittent = flag.Float64("intermittent", 1, "probability the fault is active on a given pattern (1 = deterministic fault)")
-		flip         = flag.Float64("flip", 0, "probability the tester flips a session's pass/fail verdict")
-		abort        = flag.Float64("abort", 0, "probability a session execution aborts and yields no signature")
-		retries      = flag.Int("retries", 0, "extra executions per session; completed executions vote on the verdict")
-		vote         = flag.Int("vote", 1, "prune a cell only if its group passed in at least this many partitions")
-		noiseSeed    = flag.Uint64("noise-seed", 7, "seed for the unreliable-tester noise streams")
-		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
-		memprofile   = flag.String("memprofile", "", "write a heap profile to this file after the run")
-		timeout      = flag.Duration("timeout", 0, "wall-clock budget for the sweep (0 = none); on expiry the partial study is reported")
-		cacheMB      = flag.Int64("cachemb", 0, "artifact-cache budget in MiB (0 = unbounded)")
-		cacheDir     = flag.String("cachedir", "", "persist build artifacts under this directory and reuse them across runs (warm start)")
-		connect      = flag.String("connect", "", "comma-separated sharddiag worker addresses (host:port, or unix:/path); shard the sweep across them instead of running in-process")
-		shards       = flag.Int("shards", 0, "shards to split the fault list into when -connect is set (0 = 4 per worker)")
+		groups       = c.IntFlag("groups", 4, 1, "groups per partition")
+		chains       = c.IntFlag("chains", 1, 1, "number of balanced scan chains")
+		order        = c.Flags.String("order", "natural", "scan order: natural|random|reverse")
+		ideal        = c.Flags.Bool("ideal", false, "bypass the MISR (alias-free compaction)")
+		verbose      = c.Flags.Bool("verbose", false, "print each fault's candidate set")
+		intermittent = c.Flags.Float64("intermittent", 1, "probability the fault is active on a given pattern (1 = deterministic fault)")
+		flip         = c.Flags.Float64("flip", 0, "probability the tester flips a session's pass/fail verdict")
+		abort        = c.Flags.Float64("abort", 0, "probability a session execution aborts and yields no signature")
+		retries      = c.IntFlag("retries", 0, 0, "extra executions per session; completed executions vote on the verdict")
+		vote         = c.Flags.Int("vote", 1, "prune a cell only if its group passed in at least this many partitions")
+		noiseSeed    = c.Flags.Uint64("noise-seed", 7, "seed for the unreliable-tester noise streams")
 	)
-	flag.Parse()
+	var model noise.Model
+	c.Check(func() error {
+		model = noise.Model{Intermittent: *intermittent, Flip: *flip, Abort: *abort, Seed: *noiseSeed}
+		if *vote < 1 || *vote > plan.Partitions {
+			return fmt.Errorf("-vote must be in [1, %d], got %d", plan.Partitions, *vote)
+		}
+		if *order != "natural" && *order != "random" && *order != "reverse" {
+			return fmt.Errorf("unknown scan order %q", *order)
+		}
+		return model.Validate()
+	})
 
-	if *groups < 1 {
-		usageError(fmt.Errorf("-groups must be at least 1, got %d", *groups))
-	}
-	if *partitions < 1 {
-		usageError(fmt.Errorf("-partitions must be at least 1, got %d", *partitions))
-	}
-	if *patterns < 1 {
-		usageError(fmt.Errorf("-patterns must be at least 1, got %d", *patterns))
-	}
-	if *faults < 1 {
-		usageError(fmt.Errorf("-faults must be at least 1, got %d", *faults))
-	}
-	if *chains < 1 {
-		usageError(fmt.Errorf("-chains must be at least 1, got %d", *chains))
-	}
-	if *retries < 0 {
-		usageError(fmt.Errorf("-retries must not be negative, got %d", *retries))
-	}
-	if *vote < 1 || *vote > *partitions {
-		usageError(fmt.Errorf("-vote must be in [1, %d], got %d", *partitions, *vote))
-	}
-	if *workers < 0 {
-		usageError(fmt.Errorf("-workers must be non-negative, got %d", *workers))
-	}
-	if *timeout < 0 {
-		usageError(fmt.Errorf("-timeout must be non-negative, got %v", *timeout))
-	}
-	if err := validateCacheMB(*cacheMB); err != nil {
-		usageError(err)
-	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+	return c.Run(args, func(ctx context.Context) error {
+		w := c.Stdout
+		ckt, err := circ.Load()
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	defer writeMemProfile(*memprofile)
-
-	c, err := loadCircuit(*benchPath, *name)
-	if err != nil {
-		fatal(err)
-	}
-	if *drcCheck {
-		reportDRC(c.Name, drc.Check(c))
-	}
-	scheme, err := schemeByName(*schemeName)
-	if err != nil {
-		fatal(err)
-	}
-	// A -timeout deadline and Ctrl-C both cancel the sweep at batch
-	// granularity: in-flight batches drain and the contiguous prefix of
-	// diagnosed faults is reported as a partial study.
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	ctx, stop := signal.NotifyContext(ctx, os.Interrupt)
-	defer stop()
-
-	opts := core.Options{
-		Scheme:        scheme,
-		Groups:        *groups,
-		Partitions:    *partitions,
-		Patterns:      *patterns,
-		Chains:        *chains,
-		Ideal:         *ideal,
-		Workers:       *workers,
-		Lanes:         *lanes,
-		Noise:         noise.Model{Intermittent: *intermittent, Flip: *flip, Abort: *abort, Seed: *noiseSeed},
-		Retry:         bist.RetryPolicy{MaxRetries: *retries},
-		VoteThreshold: *vote,
-		StrictDRC:     *drcCheck,
-	}
-	if *cacheMB > 0 {
-		opts.Cache = pipeline.NewCacheWithBudget(pipeline.Budget{MaxBytes: *cacheMB << 20})
-	}
-	opts.CacheDir = *cacheDir
-	if *lanes < 0 || *lanes > sim.MaxBatchLanes {
-		usageError(fmt.Errorf("-lanes %d out of range 0..%d", *lanes, sim.MaxBatchLanes))
-	}
-	if err := opts.Noise.Validate(); err != nil {
-		usageError(err)
-	}
-	switch *order {
-	case "natural":
-	case "random":
-		opts.ScanOrder = scan.RandomOrder(c.NumDFFs(), 1)
-	case "reverse":
-		opts.ScanOrder = scan.ReverseOrder(c.NumDFFs())
-	default:
-		usageError(fmt.Errorf("unknown scan order %q", *order))
-	}
-
-	b, err := core.NewCircuitBench(c, opts)
-	if err != nil {
-		fatal(err)
-	}
-	stats := c.Stats()
-	fmt.Printf("circuit:  %s\n", stats)
-	fmt.Printf("plan:     %s, %d groups x %d partitions, %d patterns/session, %d chains\n",
-		scheme.Name(), *groups, *partitions, *patterns, *chains)
-	if opts.Noise.Enabled() {
-		fmt.Printf("tester:   intermittent p=%.2f, flip q=%.3f, abort %.3f, %d retries/session, vote threshold %d\n",
-			*intermittent, *flip, *abort, *retries, *vote)
-	}
-
-	sample := sim.SampleFaults(b.Faults(), *faults, *seed)
-	var observe func(*core.FaultDiagnosis)
-	if *verbose {
-		observe = func(fd *core.FaultDiagnosis) {
-			if !fd.Detected {
-				fmt.Printf("  %-24s undetected\n", fd.Fault.Describe(c))
-				return
+		if *drcCheck {
+			if err := c.ReportDRC(10, ckt.Name, drc.Check(ckt)); err != nil {
+				return err
 			}
-			fmt.Printf("  %-24s failing=%v candidates=%v pruned=%v\n",
-				fd.Fault.Describe(c), fd.Actual.Elems(),
-				fd.Result.Candidates.Elems(), fd.Result.Pruned.Elems())
 		}
-	}
-	var study *core.Study
-	var runErr error
-	if *connect != "" {
-		// Sharded run: identical per-fault verdicts and study aggregates,
-		// merged slot-major from the workers' deltas, so stdout below is
-		// byte-identical to the in-process sweep (the batch-plan "sched:"
-		// line, which legitimately differs, is verbose-only).
-		conns, err := shard.DialAll(ctx, strings.Split(*connect, ","))
+		scheme, err := cli.SchemeByName(plan.Scheme)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		defer func() {
-			for _, wc := range conns {
-				wc.Close()
-			}
-		}()
-		co := &shard.Coordinator{Conns: conns, Shards: *shards}
+		cache, err := c.Cache()
+		if err != nil {
+			return err
+		}
+		opts := core.Options{
+			Scheme:        scheme,
+			Groups:        *groups,
+			Partitions:    plan.Partitions,
+			Patterns:      plan.Patterns,
+			Chains:        *chains,
+			Ideal:         *ideal,
+			Workers:       *workers,
+			Lanes:         *lanes,
+			Noise:         model,
+			Retry:         bist.RetryPolicy{MaxRetries: *retries},
+			VoteThreshold: *vote,
+			StrictDRC:     *drcCheck,
+			Cache:         cache,
+		}
+		switch *order {
+		case "random":
+			opts.ScanOrder = scan.RandomOrder(ckt.NumDFFs(), 1)
+		case "reverse":
+			opts.ScanOrder = scan.ReverseOrder(ckt.NumDFFs())
+		}
+
+		b, err := core.NewCircuitBench(ckt, opts)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "circuit:  %s\n", ckt.Stats())
+		fmt.Fprintf(w, "plan:     %s, %d groups x %d partitions, %d patterns/session, %d chains\n",
+			scheme.Name(), *groups, plan.Partitions, plan.Patterns, *chains)
+		if opts.Noise.Enabled() {
+			fmt.Fprintf(w, "tester:   intermittent p=%.2f, flip q=%.3f, abort %.3f, %d retries/session, vote threshold %d\n",
+				*intermittent, *flip, *abort, *retries, *vote)
+		}
+
+		faults := sim.SampleFaults(b.Faults(), sample.Faults, sample.Seed)
+		var observe func(*core.FaultDiagnosis)
 		if *verbose {
-			co.Progress = func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "scandiag: "+format+"\n", args...)
+			observe = func(fd *core.FaultDiagnosis) {
+				if !fd.Detected {
+					fmt.Fprintf(w, "  %-24s undetected\n", fd.Fault.Describe(ckt))
+					return
+				}
+				fmt.Fprintf(w, "  %-24s failing=%v candidates=%v pruned=%v\n",
+					fd.Fault.Describe(ckt), fd.Actual.Elems(),
+					fd.Result.Candidates.Elems(), fd.Result.Pruned.Elems())
 			}
 		}
-		ref := shard.ProfileRef(*name, 0, 1, c)
-		if *benchPath != "" {
-			ref = shard.BenchFileRef(*benchPath, c)
+		var study *core.Study
+		var runErr error
+		if c.Sharded() {
+			// Sharded run: identical per-fault verdicts and study aggregates,
+			// merged slot-major from the workers' deltas, so stdout below is
+			// byte-identical to the in-process sweep (the batch-plan "sched:"
+			// line, which legitimately differs, is verbose-only).
+			co, err := c.Dial(ctx, *verbose)
+			if err != nil {
+				return err
+			}
+			study, runErr = co.RunCircuit(ctx, circ.Ref(ckt), opts, faults, shard.StuckAtCosts(ckt, faults), observe)
+		} else {
+			study, runErr = b.RunObservedContext(ctx, faults, observe)
 		}
-		study, runErr = co.RunCircuit(ctx, ref, opts, sample, shard.StuckAtCosts(c, sample), observe)
-	} else {
-		study, runErr = b.RunObservedContext(ctx, sample, observe)
-	}
-	if runErr != nil {
-		fmt.Fprintf(os.Stderr, "scandiag: sweep interrupted (%v): diagnosed %d of %d scheduled faults; reporting the partial study\n",
-			runErr, study.Completeness.Observed, study.Completeness.Scheduled)
-	}
-	cost := b.Cost()
-	fmt.Printf("cost:     %d sessions, %d shift clocks total, %d golden-signature bits, %d selection-register bits\n",
-		cost.Sessions, cost.TotalClocks, cost.SignatureBits, cost.SelectionRegisterBits)
-	if *verbose {
-		// Verbose-only so default stdout stays byte-identical between cold
-		// and warm runs (the CI warm-start check diffs it).
-		fmt.Printf("sched:    %d fault batches, %.1f%% lane fill\n", study.PlanBatches, 100*study.PlanFill)
-	}
-	fmt.Printf("\nfaults:    %d sampled, %d diagnosed, %d undetected by scan cells\n",
-		len(sample), study.Diagnosed, study.Undetected)
-	if !study.Completeness.Complete() {
-		fmt.Printf("partial:   %d of %d faults observed (%.0f%%) before the deadline\n",
-			study.Completeness.Observed, study.Completeness.Scheduled, 100*study.Completeness.Fraction())
-	}
-	fmt.Printf("DR:        %.4f without pruning\n", study.Full.Value())
-	fmt.Printf("DR:        %.4f with pruning\n", study.Pruned.Value())
-	if opts.Noise.Enabled() {
-		fmt.Printf("\nrobust:    %d misses (faults whose pruned set lost a truly failing cell)\n", study.Misses)
-		fmt.Printf("baseline:  %d misses, DR %.4f (hard intersection over the same noisy verdicts)\n",
-			study.BaselineMisses, study.BaselineFull.Value())
-		fmt.Printf("tester:    %s\n", &study.Reliability)
-	}
-	fmt.Println("\nDR by number of partitions (without pruning):")
-	for k, dr := range study.ByPartition {
-		fmt.Printf("  %2d: %.4f\n", k+1, dr.Value())
-	}
-	// Cache traffic goes to stderr so warm and cold runs keep identical
-	// stdout — that invariance is what the CI warm-start check diffs.
-	if *cacheDir != "" {
-		fmt.Fprintf(os.Stderr, "scandiag: %s\n", b.Opts.Cache.Stats())
-	}
-}
-
-// maxCacheMB rejects budgets no machine this tool targets could hold
-// (1 TiB): such values are typos, not configurations.
-const maxCacheMB = 1 << 20
-
-func validateCacheMB(mb int64) error {
-	if mb < 0 {
-		return fmt.Errorf("-cachemb must be non-negative, got %d", mb)
-	}
-	if mb > maxCacheMB {
-		return fmt.Errorf("-cachemb must be at most %d (1 TiB), got %d", int64(maxCacheMB), mb)
-	}
-	return nil
-}
-
-func loadCircuit(path, name string) (*circuit.Circuit, error) {
-	if path != "" {
-		return bench.ParseFile(path)
-	}
-	p, ok := benchgen.ProfileByName(name)
-	if !ok {
-		return nil, fmt.Errorf("unknown built-in circuit %q (try one of %v)", name, profileNames())
-	}
-	return benchgen.Generate(p)
-}
-
-func profileNames() []string {
-	var names []string
-	for _, p := range benchgen.Profiles() {
-		names = append(names, p.Name)
-	}
-	return names
-}
-
-func schemeByName(name string) (partition.Scheme, error) {
-	switch name {
-	case "two-step":
-		return partition.TwoStep{}, nil
-	case "random", "random-selection":
-		return partition.RandomSelection{}, nil
-	case "interval":
-		return partition.Interval{}, nil
-	case "fixed", "fixed-interval":
-		return partition.FixedInterval{}, nil
-	}
-	return nil, fmt.Errorf("unknown scheme %q", name)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "scandiag:", err)
-	os.Exit(1)
-}
-
-// reportDRC prints the design-rule verdict. On violations it lists every
-// hit and exits with status 2: simulating a rule-breaking netlist would
-// produce corrupt signatures, not diagnoses.
-func reportDRC(name string, vs []drc.Violation) {
-	if len(vs) == 0 {
-		fmt.Printf("drc:      %s clean\n", name)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "scandiag: drc: %s: %d violation(s)\n", name, len(vs))
-	for _, v := range vs {
-		fmt.Fprintf(os.Stderr, "  %s\n", v)
-	}
-	os.Exit(2)
-}
-
-// writeMemProfile snapshots the heap after a GC so the profile reflects
-// retained memory, not transient garbage. A no-op for an empty path.
-func writeMemProfile(path string) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "scandiag:", err)
-		return
-	}
-	defer f.Close()
-	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		fmt.Fprintln(os.Stderr, "scandiag:", err)
-	}
-}
-
-// usageError reports a bad flag combination: the error, then the flag
-// summary, then a non-zero exit (2, matching flag's own parse failures).
-func usageError(err error) {
-	fmt.Fprintln(os.Stderr, "scandiag:", err)
-	flag.Usage()
-	os.Exit(2)
+		if runErr != nil {
+			c.Warnf("sweep interrupted (%v): diagnosed %d of %d scheduled faults; reporting the partial study",
+				runErr, study.Completeness.Observed, study.Completeness.Scheduled)
+		}
+		cost := b.Cost()
+		fmt.Fprintf(w, "cost:     %d sessions, %d shift clocks total, %d golden-signature bits, %d selection-register bits\n",
+			cost.Sessions, cost.TotalClocks, cost.SignatureBits, cost.SelectionRegisterBits)
+		if *verbose {
+			// Verbose-only so default stdout stays byte-identical between cold
+			// and warm runs (the CI warm-start check diffs it).
+			fmt.Fprintf(w, "sched:    %d fault batches, %.1f%% lane fill\n", study.PlanBatches, 100*study.PlanFill)
+		}
+		fmt.Fprintf(w, "\nfaults:    %d sampled, %d diagnosed, %d undetected by scan cells\n",
+			len(faults), study.Diagnosed, study.Undetected)
+		if !study.Completeness.Complete() {
+			fmt.Fprintf(w, "partial:   %d of %d faults observed (%.0f%%) before the deadline\n",
+				study.Completeness.Observed, study.Completeness.Scheduled, 100*study.Completeness.Fraction())
+		}
+		fmt.Fprintf(w, "DR:        %.4f without pruning\n", study.Full.Value())
+		fmt.Fprintf(w, "DR:        %.4f with pruning\n", study.Pruned.Value())
+		if opts.Noise.Enabled() {
+			fmt.Fprintf(w, "\nrobust:    %d misses (faults whose pruned set lost a truly failing cell)\n", study.Misses)
+			fmt.Fprintf(w, "baseline:  %d misses, DR %.4f (hard intersection over the same noisy verdicts)\n",
+				study.BaselineMisses, study.BaselineFull.Value())
+			fmt.Fprintf(w, "tester:    %s\n", &study.Reliability)
+		}
+		fmt.Fprintln(w, "\nDR by number of partitions (without pruning):")
+		for k, dr := range study.ByPartition {
+			fmt.Fprintf(w, "  %2d: %.4f\n", k+1, dr.Value())
+		}
+		return nil
+	})
 }

@@ -11,298 +11,155 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
+	"io"
 	"os"
-	"os/signal"
-	"runtime"
-	"runtime/pprof"
-	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/drc"
-	"repro/internal/partition"
-	"repro/internal/pipeline"
 	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/soc"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	c := cli.New("socdiag", stdout, stderr)
+	plan := c.PlanFlags()
+	sample := c.SampleFlags()
+	workers := c.WorkersFlag()
+	lanes := c.LanesFlag()
+	drcCheck := c.DRCFlag()
+	c.TimeoutFlag()
+	c.ProfileFlags()
+	c.CacheFlags(true)
+	c.ShardFlags()
 	var (
-		socNum     = flag.Int("soc", 1, "crafted SOC to test: 1 (six largest, single chain) or 2 (d695 variant)")
-		coreName   = flag.String("core", "", "faulty core name (default: the first core)")
-		schemeName = flag.String("scheme", "two-step", "partitioning scheme: two-step|random|interval|fixed")
-		groups     = flag.Int("groups", 0, "groups per partition (default: 32 for SOC1, 8 for SOC2)")
-		partitions = flag.Int("partitions", 8, "number of partitions")
-		patterns   = flag.Int("patterns", 128, "pseudorandom patterns per BIST session")
-		chains     = flag.Int("chains", 0, "meta scan chains (default: 1 for SOC1, 8 for SOC2)")
-		faults     = flag.Int("faults", 500, "stuck-at faults to sample in the faulty core")
-		drcCheck   = flag.Bool("drc", false, "run the static design-rule checker on every core and the TAM before simulating")
-		seed       = flag.Int64("seed", 1, "fault sampling seed")
-		workers    = flag.Int("workers", 0, "goroutines for the fault sweep (0 = all CPUs, 1 = serial; results are identical)")
-		lanes      = flag.Int("lanes", 0, "fault lanes per batch, 1-256 (0 = engine default 256; above 64 engages the wide-word kernel)")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file after the run")
-		timeout    = flag.Duration("timeout", 0, "wall-clock budget for the sweep (0 = none); on expiry the partial study is reported")
-		cacheMB    = flag.Int64("cachemb", 0, "artifact-cache budget in MiB (0 = unbounded)")
-		cacheDir   = flag.String("cachedir", "", "persist build artifacts under this directory and reuse them across runs (warm start)")
-		preset     = flag.String("preset", "", "SOC preset name (soc1|soc2|soc1m|socmini); overrides -soc")
-		connect    = flag.String("connect", "", "comma-separated sharddiag worker addresses (host:port, or unix:/path); shard the sweep across them instead of running in-process")
-		shards     = flag.Int("shards", 0, "shards to split the fault list into when -connect is set (0 = 4 per worker)")
+		socNum   = c.Flags.Int("soc", 1, "crafted SOC to test: 1 (six largest, single chain) or 2 (d695 variant)")
+		preset   = c.Flags.String("preset", "", "SOC preset name (soc1|soc2|soc1m|socmini); overrides -soc")
+		coreName = c.Flags.String("core", "", "faulty core name (default: the first core)")
+		groups   = c.IntFlag("groups", 0, 0, "groups per partition (default: 32 for SOC1, 8 for other presets)")
+		chains   = c.IntFlag("chains", 0, 0, "meta scan chains (default: 8 for SOC2, 1 for other presets)")
 	)
-	flag.Parse()
+	c.Check(func() error {
+		if *preset == "" && *socNum != 1 && *socNum != 2 {
+			return fmt.Errorf("unknown SOC %d (-soc takes 1 or 2; name other presets with -preset)", *socNum)
+		}
+		return nil
+	})
 
-	if *groups < 0 {
-		usageError(fmt.Errorf("-groups must not be negative, got %d", *groups))
-	}
-	if *partitions < 1 {
-		usageError(fmt.Errorf("-partitions must be at least 1, got %d", *partitions))
-	}
-	if *patterns < 1 {
-		usageError(fmt.Errorf("-patterns must be at least 1, got %d", *patterns))
-	}
-	if *chains < 0 {
-		usageError(fmt.Errorf("-chains must not be negative, got %d", *chains))
-	}
-	if *faults < 1 {
-		usageError(fmt.Errorf("-faults must be at least 1, got %d", *faults))
-	}
-	if *workers < 0 {
-		usageError(fmt.Errorf("-workers must be non-negative, got %d", *workers))
-	}
-	if *lanes < 0 || *lanes > sim.MaxBatchLanes {
-		usageError(fmt.Errorf("-lanes %d out of range 0..%d", *lanes, sim.MaxBatchLanes))
-	}
-	if *timeout < 0 {
-		usageError(fmt.Errorf("-timeout must be non-negative, got %v", *timeout))
-	}
-	if err := validateCacheMB(*cacheMB); err != nil {
-		usageError(err)
-	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+	return c.Run(args, func(ctx context.Context) error {
+		w := c.Stdout
+		presetName := *preset
+		if presetName == "" {
+			presetName = fmt.Sprintf("soc%d", *socNum)
+		}
+		s, err := soc.Preset(presetName)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	defer writeMemProfile(*memprofile)
-
-	presetName := *preset
-	if presetName == "" {
-		switch *socNum {
-		case 1:
-			presetName = "soc1"
-		case 2:
-			presetName = "soc2"
-		default:
-			fatal(fmt.Errorf("unknown SOC %d", *socNum))
-		}
-	}
-	s, err := soc.Preset(presetName)
-	if err != nil {
-		fatal(err)
-	}
-	// Per-preset defaults: the paper's SOC1 runs 32 groups on a single
-	// chain, SOC2 8 groups on 8 chains; other presets get the SOC2 group
-	// count on a single chain.
-	if *groups == 0 {
-		if presetName == "soc1" {
-			*groups = 32
-		} else {
+		// Per-preset defaults: the paper's SOC1 runs 32 groups on a single
+		// chain, SOC2 8 groups on 8 chains; other presets get the SOC2 group
+		// count on a single chain.
+		if *groups == 0 {
 			*groups = 8
-		}
-	}
-	if *chains == 0 {
-		if presetName == "soc2" {
-			*chains = 8
-		} else {
-			*chains = 1
-		}
-	}
-
-	faultyCore := 0
-	if *coreName != "" {
-		i, ok := s.CoreByName(*coreName)
-		if !ok {
-			fatal(fmt.Errorf("SOC %s has no core %q", s.Name, *coreName))
-		}
-		faultyCore = i
-	}
-	scheme, err := schemeByName(*schemeName)
-	if err != nil {
-		fatal(err)
-	}
-	if *drcCheck {
-		reportDRC(s.Name, drc.CheckSOC(s, *chains))
-	}
-
-	opts := core.Options{
-		Scheme:     scheme,
-		Groups:     *groups,
-		Partitions: *partitions,
-		Patterns:   *patterns,
-		Chains:     *chains,
-		Workers:    *workers,
-		Lanes:      *lanes,
-		StrictDRC:  *drcCheck,
-		CacheDir:   *cacheDir,
-	}
-	if *cacheMB > 0 {
-		opts.Cache = pipeline.NewCacheWithBudget(pipeline.Budget{MaxBytes: *cacheMB << 20})
-	}
-	b, err := core.NewSOCBench(s, opts)
-	if err != nil {
-		fatal(err)
-	}
-
-	fmt.Printf("SOC:      %s, %d cores, %d scan cells, %d meta chain(s)\n",
-		s.Name, s.NumCores(), s.NumCells(), *chains)
-	for i, c := range s.Cores {
-		lo, hi := s.CellRange(i)
-		marker := " "
-		if i == faultyCore {
-			marker = "*"
-		}
-		fmt.Printf("  %s core %-9s cells [%5d, %5d)\n", marker, c.Name, lo, hi)
-	}
-	fmt.Printf("plan:     %s, %d groups x %d partitions, %d patterns/session\n",
-		scheme.Name(), *groups, *partitions, *patterns)
-
-	// A -timeout deadline and Ctrl-C both cancel the sweep at batch
-	// granularity: in-flight batches drain and the contiguous prefix of
-	// diagnosed faults is reported as a partial study.
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	ctx, stop := signal.NotifyContext(ctx, os.Interrupt)
-	defer stop()
-
-	sample := sim.SampleFaults(b.CoreFaults(faultyCore), *faults, *seed)
-	var study *core.Study
-	var runErr error
-	if *connect != "" {
-		// Sharded run: per-fault verdicts and study aggregates are merged
-		// slot-major from the workers' deltas, bit-identical to the
-		// in-process sweep, so stdout below does not depend on -connect.
-		conns, err := shard.DialAll(ctx, strings.Split(*connect, ","))
-		if err != nil {
-			fatal(err)
-		}
-		defer func() {
-			for _, wc := range conns {
-				wc.Close()
+			if presetName == "soc1" {
+				*groups = 32
 			}
-		}()
-		co := &shard.Coordinator{Conns: conns, Shards: *shards}
-		cc := s.Cores[faultyCore].Circuit
-		study, runErr = co.RunSOCCore(ctx, shard.SOCRef(presetName, s), faultyCore, opts, sample,
-			shard.StuckAtCosts(cc, sample), nil)
-	} else {
-		study, runErr = b.RunCoreContext(ctx, faultyCore, sample)
-	}
-	if runErr != nil {
-		fmt.Fprintf(os.Stderr, "socdiag: sweep interrupted (%v): diagnosed %d of %d scheduled faults; reporting the partial study\n",
-			runErr, study.Completeness.Observed, study.Completeness.Scheduled)
-	}
-	fmt.Printf("\nfaults:   %d sampled in %s, %d diagnosed, %d undetected\n",
-		len(sample), s.Cores[faultyCore].Name, study.Diagnosed, study.Undetected)
-	if !study.Completeness.Complete() {
-		fmt.Printf("partial:  %d of %d faults observed (%.0f%%) before the deadline\n",
-			study.Completeness.Observed, study.Completeness.Scheduled, 100*study.Completeness.Fraction())
-	}
-	fmt.Printf("DR:       %.4f without pruning\n", study.Full.Value())
-	fmt.Printf("DR:       %.4f with pruning\n", study.Pruned.Value())
-	if k := study.PartitionsToReachDR(0.5); k > 0 {
-		fmt.Printf("DR<=0.5 reached after %d partition(s)\n", k)
-	} else {
-		fmt.Printf("DR<=0.5 not reached within %d partitions\n", *partitions)
-	}
-	// Cache traffic goes to stderr so warm and cold runs keep identical
-	// stdout.
-	if *cacheDir != "" {
-		fmt.Fprintf(os.Stderr, "socdiag: %s\n", b.Opts.Cache.Stats())
-	}
-}
+		}
+		if *chains == 0 {
+			*chains = 1
+			if presetName == "soc2" {
+				*chains = 8
+			}
+		}
 
-// maxCacheMB rejects budgets no machine this tool targets could hold
-// (1 TiB): such values are typos, not configurations.
-const maxCacheMB = 1 << 20
+		faultyCore := 0
+		if *coreName != "" {
+			i, ok := s.CoreByName(*coreName)
+			if !ok {
+				return fmt.Errorf("SOC %s has no core %q", s.Name, *coreName)
+			}
+			faultyCore = i
+		}
+		scheme, err := cli.SchemeByName(plan.Scheme)
+		if err != nil {
+			return err
+		}
+		if *drcCheck {
+			if err := c.ReportDRC(10, s.Name, drc.CheckSOC(s, *chains)); err != nil {
+				return err
+			}
+		}
+		cache, err := c.Cache()
+		if err != nil {
+			return err
+		}
+		opts := core.Options{
+			Scheme:     scheme,
+			Groups:     *groups,
+			Partitions: plan.Partitions,
+			Patterns:   plan.Patterns,
+			Chains:     *chains,
+			Workers:    *workers,
+			Lanes:      *lanes,
+			StrictDRC:  *drcCheck,
+			Cache:      cache,
+		}
+		b, err := core.NewSOCBench(s, opts)
+		if err != nil {
+			return err
+		}
 
-func validateCacheMB(mb int64) error {
-	if mb < 0 {
-		return fmt.Errorf("-cachemb must be non-negative, got %d", mb)
-	}
-	if mb > maxCacheMB {
-		return fmt.Errorf("-cachemb must be at most %d (1 TiB), got %d", int64(maxCacheMB), mb)
-	}
-	return nil
-}
+		fmt.Fprintf(w, "SOC:      %s, %d cores, %d scan cells, %d meta chain(s)\n",
+			s.Name, s.NumCores(), s.NumCells(), *chains)
+		for i, cc := range s.Cores {
+			lo, hi := s.CellRange(i)
+			marker := " "
+			if i == faultyCore {
+				marker = "*"
+			}
+			fmt.Fprintf(w, "  %s core %-9s cells [%5d, %5d)\n", marker, cc.Name, lo, hi)
+		}
+		fmt.Fprintf(w, "plan:     %s, %d groups x %d partitions, %d patterns/session\n",
+			scheme.Name(), *groups, plan.Partitions, plan.Patterns)
 
-func schemeByName(name string) (partition.Scheme, error) {
-	switch name {
-	case "two-step":
-		return partition.TwoStep{}, nil
-	case "random", "random-selection":
-		return partition.RandomSelection{}, nil
-	case "interval":
-		return partition.Interval{}, nil
-	case "fixed", "fixed-interval":
-		return partition.FixedInterval{}, nil
-	}
-	return nil, fmt.Errorf("unknown scheme %q", name)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "socdiag:", err)
-	os.Exit(1)
-}
-
-// reportDRC prints the design-rule verdict. On violations it lists every
-// hit and exits with status 2: simulating a rule-breaking SOC would
-// produce corrupt signatures, not diagnoses.
-func reportDRC(name string, vs []drc.Violation) {
-	if len(vs) == 0 {
-		fmt.Printf("drc:      %s clean\n", name)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "socdiag: drc: %s: %d violation(s)\n", name, len(vs))
-	for _, v := range vs {
-		fmt.Fprintf(os.Stderr, "  %s\n", v)
-	}
-	os.Exit(2)
-}
-
-// writeMemProfile snapshots the heap after a GC so the profile reflects
-// retained memory, not transient garbage. A no-op for an empty path.
-func writeMemProfile(path string) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "socdiag:", err)
-		return
-	}
-	defer f.Close()
-	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		fmt.Fprintln(os.Stderr, "socdiag:", err)
-	}
-}
-
-// usageError reports a bad flag combination: the error, then the flag
-// summary, then a non-zero exit (2, matching flag's own parse failures).
-func usageError(err error) {
-	fmt.Fprintln(os.Stderr, "socdiag:", err)
-	flag.Usage()
-	os.Exit(2)
+		faults := sim.SampleFaults(b.CoreFaults(faultyCore), sample.Faults, sample.Seed)
+		var study *core.Study
+		var runErr error
+		if c.Sharded() {
+			// Sharded run: per-fault verdicts and study aggregates are merged
+			// slot-major from the workers' deltas, bit-identical to the
+			// in-process sweep, so stdout below does not depend on -connect.
+			co, err := c.Dial(ctx, false)
+			if err != nil {
+				return err
+			}
+			cc := s.Cores[faultyCore].Circuit
+			study, runErr = co.RunSOCCore(ctx, shard.SOCRef(presetName, s), faultyCore, opts, faults,
+				shard.StuckAtCosts(cc, faults), nil)
+		} else {
+			study, runErr = b.RunCoreContext(ctx, faultyCore, faults)
+		}
+		if runErr != nil {
+			c.Warnf("sweep interrupted (%v): diagnosed %d of %d scheduled faults; reporting the partial study",
+				runErr, study.Completeness.Observed, study.Completeness.Scheduled)
+		}
+		fmt.Fprintf(w, "\nfaults:   %d sampled in %s, %d diagnosed, %d undetected\n",
+			len(faults), s.Cores[faultyCore].Name, study.Diagnosed, study.Undetected)
+		if !study.Completeness.Complete() {
+			fmt.Fprintf(w, "partial:  %d of %d faults observed (%.0f%%) before the deadline\n",
+				study.Completeness.Observed, study.Completeness.Scheduled, 100*study.Completeness.Fraction())
+		}
+		fmt.Fprintf(w, "DR:       %.4f without pruning\n", study.Full.Value())
+		fmt.Fprintf(w, "DR:       %.4f with pruning\n", study.Pruned.Value())
+		if k := study.PartitionsToReachDR(0.5); k > 0 {
+			fmt.Fprintf(w, "DR<=0.5 reached after %d partition(s)\n", k)
+		} else {
+			fmt.Fprintf(w, "DR<=0.5 not reached within %d partitions\n", plan.Partitions)
+		}
+		return nil
+	})
 }

@@ -210,3 +210,32 @@ func equal(a, b []uint8) bool {
 	}
 	return true
 }
+
+// Outcome is how the diagnosis of one injected chain fault turned out.
+type Outcome struct {
+	Located bool // the injected fault is among the candidates
+	Exact   bool // it is the only candidate
+	Cands   int  // number of candidates
+}
+
+// Inject plants truth in a simulated device with the given scan order,
+// diagnoses the device, and scores the candidates against truth.
+func Inject(c *circuit.Circuit, order []int, truth ChainFault) (Outcome, error) {
+	dut, err := NewDevice(c, order, &truth)
+	if err != nil {
+		return Outcome{}, err
+	}
+	cands, err := Diagnose(c, order, dut.LoadCaptureObserve)
+	if err != nil {
+		return Outcome{}, err
+	}
+	out := Outcome{Cands: len(cands)}
+	for _, cand := range cands {
+		if cand.Fault != nil && *cand.Fault == truth {
+			out.Located = true
+			out.Exact = len(cands) == 1
+			break
+		}
+	}
+	return out, nil
+}

@@ -139,3 +139,25 @@ func TestDiagnoseHealthyChain(t *testing.T) {
 		t.Error("empty candidate string")
 	}
 }
+
+func TestInjectScoresOutcome(t *testing.T) {
+	c := benchgen.MustGenerate("s298")
+	order := scan.NaturalOrder(c.NumDFFs())
+	for pos := 0; pos < c.NumDFFs(); pos++ {
+		for _, stuck := range []uint8{0, 1} {
+			truth := ChainFault{Position: pos, Stuck: stuck}
+			out, err := Inject(c, order, truth)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dut, _ := NewDevice(c, order, &truth)
+			cands, _ := Diagnose(c, order, dut.LoadCaptureObserve)
+			if !out.Located || out.Cands != len(cands) || out.Exact != (len(cands) == 1) {
+				t.Fatalf("%v: outcome %+v for %d candidates %v", truth, out, len(cands), cands)
+			}
+		}
+	}
+	if _, err := Inject(c, order, ChainFault{Position: c.NumDFFs()}); err == nil {
+		t.Error("injection outside the chain accepted")
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/bitset"
+	"repro/internal/chaindiag"
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/partition"
@@ -271,22 +272,13 @@ func (c *Coordinator) RunTransition(ctx context.Context, ref codec.DeviceRef, o 
 	return out, runErr
 }
 
-// ChainOutcome is one scan-chain fault injection's sharded diagnosis:
-// whether the injected fault appeared among the candidates, whether it
-// was the only candidate, and the candidate count.
-type ChainOutcome struct {
-	Located bool
-	Exact   bool
-	Cands   int
-}
-
 // RunChain shards the chain-diagnosis injection sweep: injections
 // 0..n-1, where injection i plants ChainFault{Position: i/2, Stuck:
 // i%2} — exactly chaindiag's sweep numbering. order is the scan order
 // under test and must cover every cell (chaindiag.NewDevice requires
 // it). The returned slice has one entry per injection; nil entries mark
 // injections whose shard failed.
-func (c *Coordinator) RunChain(ctx context.Context, ref codec.DeviceRef, order []int, n int) ([]*ChainOutcome, error) {
+func (c *Coordinator) RunChain(ctx context.Context, ref codec.DeviceRef, order []int, n int) ([]*chaindiag.Outcome, error) {
 	if len(order) == 0 {
 		return nil, fmt.Errorf("shard: chain sweep requires an explicit scan order")
 	}
@@ -313,14 +305,14 @@ func (c *Coordinator) RunChain(ctx context.Context, ref codec.DeviceRef, order [
 		}
 	}
 	results, runErr := c.run(ctx, jobs)
-	out := make([]*ChainOutcome, n)
+	out := make([]*chaindiag.Outcome, n)
 	for _, res := range results {
 		if res == nil {
 			continue
 		}
 		for i := range res.Chains {
 			co := &res.Chains[i]
-			out[co.Index] = &ChainOutcome{Located: co.Located, Exact: co.Exact, Cands: int(co.Cands)}
+			out[co.Index] = &chaindiag.Outcome{Located: co.Located, Exact: co.Exact, Cands: int(co.Cands)}
 		}
 	}
 	return out, runErr

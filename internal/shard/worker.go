@@ -364,24 +364,13 @@ func (s *Server) runChainJob(ctx context.Context, conn net.Conn, job *codec.Shar
 			if i >= 2*c.NumDFFs() {
 				return nil, fmt.Errorf("shard: chain shard %d injection %d outside chain of %d cells", job.ID, i, c.NumDFFs())
 			}
-			truth := chaindiag.ChainFault{Position: i / 2, Stuck: uint8(i % 2)}
-			dut, err := chaindiag.NewDevice(c, order, &truth)
+			out, err := chaindiag.Inject(c, order, chaindiag.ChainFault{Position: i / 2, Stuck: uint8(i % 2)})
 			if err != nil {
 				return nil, err
 			}
-			cands, err := chaindiag.Diagnose(c, order, dut.LoadCaptureObserve)
-			if err != nil {
-				return nil, err
-			}
-			out := codec.WireChainOutcome{Index: idx, Cands: uint32(len(cands))}
-			for _, cand := range cands {
-				if cand.Fault != nil && *cand.Fault == truth {
-					out.Located = true
-					out.Exact = len(cands) == 1
-					break
-				}
-			}
-			res.Chains = append(res.Chains, out)
+			res.Chains = append(res.Chains, codec.WireChainOutcome{
+				Index: idx, Located: out.Located, Exact: out.Exact, Cands: uint32(out.Cands),
+			})
 		}
 		if err := sendProgress(conn, job.ID, hi, total); err != nil {
 			return nil, err
