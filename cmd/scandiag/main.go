@@ -21,6 +21,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/drc"
 	"repro/internal/noise"
+	"repro/internal/partition"
 	"repro/internal/scan"
 	"repro/internal/shard"
 	"repro/internal/sim"
@@ -54,8 +55,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		noiseSeed    = c.Flags.Uint64("noise-seed", 7, "seed for the unreliable-tester noise streams")
 	)
 	var model noise.Model
-	c.Check(func() error {
+	var scheme partition.Scheme
+	c.Check(func() (err error) {
 		model = noise.Model{Intermittent: *intermittent, Flip: *flip, Abort: *abort, Seed: *noiseSeed}
+		if scheme, err = cli.SchemeByName(plan.Scheme); err != nil {
+			return err
+		}
 		if *vote < 1 || *vote > plan.Partitions {
 			return fmt.Errorf("-vote must be in [1, %d], got %d", plan.Partitions, *vote)
 		}
@@ -75,10 +80,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if err := c.ReportDRC(10, ckt.Name, drc.Check(ckt)); err != nil {
 				return err
 			}
-		}
-		scheme, err := cli.SchemeByName(plan.Scheme)
-		if err != nil {
-			return err
 		}
 		cache, err := c.Cache()
 		if err != nil {

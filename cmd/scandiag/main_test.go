@@ -39,10 +39,10 @@ func TestGolden(t *testing.T) {
 		{Name: "noise", Args: []string{"-intermittent", "2"}, Exit: 2},
 		{Name: "shards", Args: []string{"-faults", "200", "-shards", "-5"}, Exit: 2, Stderr: `^scandiag: -shards must be non-negative`},
 		{Name: "unknown-flag", Args: []string{"-nosuchflag"}, Exit: 2},
+		{Name: "unknown-scheme", Args: []string{"-scheme", "bogus"}, Exit: 2, Stderr: `^scandiag: unknown scheme "bogus"`},
 
 		{Name: "unknown-circuit", Args: []string{"-circuit", "nosuch"}, Exit: 1, Stderr: `^scandiag: unknown built-in circuit "nosuch" \(try one of \[.*s953`},
 		{Name: "missing-bench", Args: []string{"-bench", "/nonexistent"}, Exit: 1},
-		{Name: "unknown-scheme", Args: []string{"-scheme", "bogus"}, Exit: 1},
 	})
 }
 

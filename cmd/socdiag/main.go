@@ -18,6 +18,7 @@ import (
 	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/drc"
+	"repro/internal/partition"
 	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/soc"
@@ -43,11 +44,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		groups   = c.IntFlag("groups", 0, 0, "groups per partition (default: 32 for SOC1, 8 for other presets)")
 		chains   = c.IntFlag("chains", 0, 0, "meta scan chains (default: 8 for SOC2, 1 for other presets)")
 	)
-	c.Check(func() error {
+	var scheme partition.Scheme
+	c.Check(func() (err error) {
 		if *preset == "" && *socNum != 1 && *socNum != 2 {
 			return fmt.Errorf("unknown SOC %d (-soc takes 1 or 2; name other presets with -preset)", *socNum)
 		}
-		return nil
+		scheme, err = cli.SchemeByName(plan.Scheme)
+		return err
 	})
 
 	return c.Run(args, func(ctx context.Context) error {
@@ -83,10 +86,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return fmt.Errorf("SOC %s has no core %q", s.Name, *coreName)
 			}
 			faultyCore = i
-		}
-		scheme, err := cli.SchemeByName(plan.Scheme)
-		if err != nil {
-			return err
 		}
 		if *drcCheck {
 			if err := c.ReportDRC(10, s.Name, drc.CheckSOC(s, *chains)); err != nil {

@@ -26,9 +26,9 @@ func TestGolden(t *testing.T) {
 		{Name: "cachemb", Args: []string{"-cachemb", "-1"}, Exit: 2},
 		{Name: "soc", Args: []string{"-soc", "3"}, Exit: 2, Stderr: `^socdiag: unknown SOC 3`},
 		{Name: "shards", Args: []string{"-preset", "socmini", "-faults", "100", "-shards", "-1"}, Exit: 2},
+		{Name: "unknown-scheme", Args: []string{"-preset", "socmini", "-scheme", "bogus"}, Exit: 2, Stderr: `^socdiag: unknown scheme "bogus"`},
 
 		{Name: "unknown-preset", Args: []string{"-preset", "nosuch"}, Exit: 1},
 		{Name: "unknown-core", Args: []string{"-preset", "socmini", "-core", "nosuch"}, Exit: 1},
-		{Name: "unknown-scheme", Args: []string{"-preset", "socmini", "-scheme", "bogus"}, Exit: 1},
 	})
 }

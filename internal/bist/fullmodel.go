@@ -32,13 +32,6 @@ type FullModel struct {
 	groups    int
 	labelBits int
 	lenBits   int
-
-	// Trace, when non-nil, receives one event per shift clock of the
-	// session for waveform dumping or debugging. Phase is "in" during
-	// scan-in and "out" during scan-out; bit is the serial data on the
-	// chain's active pin; selected and misr are meaningful in the "out"
-	// phase.
-	Trace func(clock int, phase string, bit uint8, selected bool, misr uint64)
 }
 
 // NewFullModel builds the reference for a single-chain configuration.
@@ -141,7 +134,6 @@ func (m *FullModel) SessionSignature(f *sim.Fault, nPatterns, t, g int) (uint64,
 	}
 
 	chain := make([]uint8, n) // chain[pos]; position 0 is nearest scan-out
-	clock := 0
 	for p := 0; p < nPatterns; p++ {
 		// Scan-in: n shift clocks. Bits enter at the far end (position
 		// n−1, the scan-in pin) and move toward position 0 (the scan-out
@@ -151,10 +143,6 @@ func (m *FullModel) SessionSignature(f *sim.Fault, nPatterns, t, g int) (uint64,
 		for k := 0; k < n; k++ {
 			copy(chain[:n-1], chain[1:])
 			chain[n-1] = uint8(prpg.Step())
-			if m.Trace != nil {
-				m.Trace(clock, "in", chain[n-1], false, misr.Signature())
-			}
-			clock++
 		}
 		// Primary inputs are held from the PRPG's next bits.
 		block := &sim.Block{N: 1, PI: make([]uint64, m.c.NumInputs()), State: make([]uint64, m.c.NumDFFs())}
@@ -183,16 +171,11 @@ func (m *FullModel) SessionSignature(f *sim.Fault, nPatterns, t, g int) (uint64,
 			bit := uint64(chain[0])
 			copy(chain[:n-1], chain[1:])
 			chain[n-1] = 0
-			selected := sel.Shift()
-			if selected {
+			if sel.Shift() {
 				misr.Clock(bit)
 			} else {
 				misr.Clock(0)
 			}
-			if m.Trace != nil {
-				m.Trace(clock, "out", uint8(bit), selected, misr.Signature())
-			}
-			clock++
 		}
 	}
 	return misr.Signature(), nil

@@ -1,7 +1,6 @@
 package bist
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/benchgen"
@@ -9,7 +8,6 @@ import (
 	"repro/internal/partition"
 	"repro/internal/scan"
 	"repro/internal/sim"
-	"repro/internal/vcd"
 )
 
 // TestFullModelMatchesEngine is the deepest end-to-end check in the
@@ -105,61 +103,5 @@ func TestFullModelValidation(t *testing.T) {
 	}
 	if _, err := m.SessionSignature(nil, 2, 1, 0); err == nil {
 		t.Error("missing partition seed accepted")
-	}
-}
-
-// TestFullModelVCDTrace dumps one session to a VCD waveform and checks the
-// dump is well-formed and covers every shift clock.
-func TestFullModelVCDTrace(t *testing.T) {
-	c := benchgen.MustGenerate("s298")
-	n := c.NumDFFs()
-	model, err := NewFullModel(c, scan.NaturalOrder(n), partition.RandomSelection{}, 4,
-		lfsr.MustPrimitivePoly(32), 0xACE1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	w := vcd.NewWriter(&sb, "1ns")
-	scanOut, _ := w.Declare("bist", "scan_bit", 1)
-	selV, _ := w.Declare("bist", "selected", 1)
-	misrV, _ := w.Declare("bist", "misr", 32)
-	phaseV, _ := w.Declare("bist", "shift_out", 1)
-	if err := w.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	events := 0
-	model.Trace = func(clock int, phase string, bit uint8, selected bool, misr uint64) {
-		events++
-		w.Set(scanOut, uint64(bit))
-		w.Set(misrV, misr)
-		if phase == "out" {
-			w.Set(phaseV, 1)
-			if selected {
-				w.Set(selV, 1)
-			} else {
-				w.Set(selV, 0)
-			}
-		} else {
-			w.Set(phaseV, 0)
-		}
-		if err := w.At(uint64(clock)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	const patterns = 3
-	if _, err := model.SessionSignature(nil, patterns, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if want := patterns * 2 * n; events != want {
-		t.Errorf("traced %d clocks, want %d", events, want)
-	}
-	dump := sb.String()
-	for _, wantSub := range []string{"$enddefinitions", "scan_bit", "misr", "#0"} {
-		if !strings.Contains(dump, wantSub) {
-			t.Errorf("VCD missing %q", wantSub)
-		}
 	}
 }

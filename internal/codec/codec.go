@@ -92,11 +92,13 @@ const (
 	// transition ops were replaced by masked per-plane force ops. Version-1
 	// plans are rejected at the envelope and rebuilt.
 	VersionBatchPlan uint16 = 2
-	// The shard protocol messages share one wire revision: a coordinator
-	// and worker either speak the same protocol or refuse each other at
-	// the first frame.
+	// Shard protocol messages: a coordinator and a worker whose revision
+	// of a message differs refuse each other at its first frame.
+	// VersionShardJob 2: the transition job kind and its fault-list count
+	// left the payload, so a version-1 worker refuses a version-2 job
+	// instead of misparsing it.
 	VersionShardHello    uint16 = 1
-	VersionShardJob      uint16 = 1
+	VersionShardJob      uint16 = 2
 	VersionShardResult   uint16 = 1
 	VersionShardError    uint16 = 1
 	VersionShardProgress uint16 = 1

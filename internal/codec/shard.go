@@ -111,21 +111,12 @@ const (
 	// JobChain injects shift-path faults (position i/2, stuck i%2 per
 	// index) and reports location accuracy.
 	JobChain JobKind = 3
-	// JobTransition diagnoses transition (delay) faults under
-	// launch-off-capture.
-	JobTransition JobKind = 4
 )
 
 // WireFault is sim.Fault on the wire.
 type WireFault struct {
 	Net, Gate, Pin int32
 	Stuck          uint8
-}
-
-// WireTransitionFault is sim.TransitionFault on the wire.
-type WireTransitionFault struct {
-	Net        int32
-	SlowToRise bool
 }
 
 // ShardJob is one shard descriptor: everything a worker needs to rebuild
@@ -139,13 +130,12 @@ type ShardJob struct {
 	Core   int32 // JobSOCCore: core index; -1 otherwise
 	Spec   WireSpec
 	Knobs  WireKnobs
-	// FaultHash is the content hash of the *global* fault list
-	// (pipeline.FaultSetHash) — the job's tie to the coordinator's fault
-	// universe, logged and echoed rather than recomputed per shard.
+	// FaultHash is the content hash of Faults (pipeline.FaultSetHash);
+	// the worker recomputes it over the decoded payload and refuses a
+	// mismatch.
 	FaultHash string
-	Faults    []WireFault           // JobCircuit, JobSOCCore
-	TFaults   []WireTransitionFault // JobTransition
-	Indices   []uint32              // global indices; JobChain uses these alone
+	Faults    []WireFault // JobCircuit, JobSOCCore
+	Indices   []uint32    // global indices; JobChain uses these alone
 }
 
 // WireDiagnosis is one per-fault verdict delta: the FaultDiagnosis
@@ -190,7 +180,7 @@ type ShardResult struct {
 	// coordinator can aggregate scheduler-saturation metrics.
 	PlanBatches uint32
 	LaneCap     uint32
-	Diagnoses   []WireDiagnosis    // JobCircuit, JobSOCCore, JobTransition
+	Diagnoses   []WireDiagnosis    // JobCircuit, JobSOCCore
 	Chains      []WireChainOutcome // JobChain
 }
 
@@ -304,11 +294,6 @@ func EncodeShardJob(j *ShardJob) []byte {
 		w.i32(f.Gate)
 		w.i32(f.Pin)
 		w.u8(f.Stuck)
-	}
-	w.u32(uint32(len(j.TFaults)))
-	for _, f := range j.TFaults {
-		w.i32(f.Net)
-		w.boolean(f.SlowToRise)
 	}
 	w.u32s(j.Indices)
 	return seal(KindShardJob, VersionShardJob, w.b)
@@ -506,35 +491,21 @@ func DecodeShardJob(data []byte) (*ShardJob, error) {
 			j.Faults[i] = WireFault{Net: r.i32(), Gate: r.i32(), Pin: r.i32(), Stuck: r.u8()}
 		}
 	}
-	if n := r.count(5); n > 0 {
-		j.TFaults = make([]WireTransitionFault, n)
-		for i := range j.TFaults {
-			j.TFaults[i] = WireTransitionFault{Net: r.i32(), SlowToRise: r.boolean()}
-		}
-	}
 	j.Indices = r.u32s()
 	if err := r.done(); err != nil {
 		return nil, fmt.Errorf("codec: shard job: %w", err)
 	}
-	if j.Kind < JobCircuit || j.Kind > JobTransition {
-		return nil, fmt.Errorf("codec: shard job: unknown job kind %d", j.Kind)
-	}
 	switch j.Kind {
 	case JobCircuit, JobSOCCore:
-		if len(j.Indices) != len(j.Faults) || len(j.TFaults) != 0 {
-			return nil, fmt.Errorf("codec: shard job: %d indices for %d stuck-at faults (+%d transition)",
-				len(j.Indices), len(j.Faults), len(j.TFaults))
-		}
-	case JobTransition:
-		if len(j.Indices) != len(j.TFaults) || len(j.Faults) != 0 {
-			return nil, fmt.Errorf("codec: shard job: %d indices for %d transition faults (+%d stuck-at)",
-				len(j.Indices), len(j.TFaults), len(j.Faults))
+		if len(j.Indices) != len(j.Faults) {
+			return nil, fmt.Errorf("codec: shard job: %d indices for %d faults", len(j.Indices), len(j.Faults))
 		}
 	case JobChain:
-		if len(j.Faults) != 0 || len(j.TFaults) != 0 {
-			return nil, fmt.Errorf("codec: shard job: chain job carries %d+%d faults (wants none)",
-				len(j.Faults), len(j.TFaults))
+		if len(j.Faults) != 0 {
+			return nil, fmt.Errorf("codec: shard job: chain job carries %d faults (wants none)", len(j.Faults))
 		}
+	default:
+		return nil, fmt.Errorf("codec: shard job: unknown job kind %d", j.Kind)
 	}
 	if j.Kind == JobSOCCore && j.Core < 0 {
 		return nil, fmt.Errorf("codec: shard job: SOC job with core %d", j.Core)
@@ -571,7 +542,7 @@ func DecodeShardResult(data []byte) (*ShardResult, error) {
 	if err := r.done(); err != nil {
 		return nil, fmt.Errorf("codec: shard result: %w", err)
 	}
-	if res.Kind < JobCircuit || res.Kind > JobTransition {
+	if res.Kind < JobCircuit || res.Kind > JobChain {
 		return nil, fmt.Errorf("codec: shard result: unknown job kind %d", res.Kind)
 	}
 	return &res, nil

@@ -2,8 +2,11 @@ package codec_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/codec"
@@ -45,6 +48,27 @@ func sampleShardJob() *codec.ShardJob {
 	}
 }
 
+// sampleChainJob is a shift-path injection shard: indices alone, no faults.
+func sampleChainJob() *codec.ShardJob {
+	return &codec.ShardJob{
+		ID: 8, Kind: codec.JobChain,
+		Device:  codec.DeviceRef{Kind: codec.DeviceProfile, Name: "s953", Scale: 1, Fingerprint: "ff"},
+		Core:    -1,
+		Spec:    codec.WireSpec{Scheme: codec.WireScheme{Kind: codec.SchemeFixed}, ScanOrder: []uint32{1, 0, 2}},
+		Indices: []uint32{0, 3, 5},
+	}
+}
+
+func sampleChainResult() *codec.ShardResult {
+	return &codec.ShardResult{
+		JobID: 9, Kind: codec.JobChain,
+		Chains: []codec.WireChainOutcome{
+			{Index: 0, Located: true, Exact: true, Cands: 1},
+			{Index: 5, Located: false, Exact: false, Cands: 3},
+		},
+	}
+}
+
 func TestShardWireRoundTrip(t *testing.T) {
 	hello := &codec.ShardHello{Node: "w0", Pid: 1234, Workers: 8, CacheDir: "/tmp/cache"}
 	gotHello, err := codec.DecodeShardHello(codec.EncodeShardHello(hello))
@@ -64,22 +88,13 @@ func TestShardWireRoundTrip(t *testing.T) {
 		t.Fatalf("job:\nwant %+v\ngot  %+v", job, gotJob)
 	}
 
-	tjob := &codec.ShardJob{
-		ID: 8, Kind: codec.JobTransition,
-		Device: codec.DeviceRef{Kind: codec.DeviceProfile, Name: "s953", Scale: 1, Fingerprint: "ff"},
-		Core:   -1,
-		Spec:   codec.WireSpec{Scheme: codec.WireScheme{Kind: codec.SchemeFixed}, Groups: 4, Partitions: 8, Patterns: 128, PRPGSeed: 0xACE1, PRPGPoly: 0x1100b},
-		TFaults: []codec.WireTransitionFault{
-			{Net: 3, SlowToRise: true}, {Net: 5, SlowToRise: false},
-		},
-		Indices: []uint32{0, 3},
-	}
-	gotT, err := codec.DecodeShardJob(codec.EncodeShardJob(tjob))
+	cjob := sampleChainJob()
+	gotC, err := codec.DecodeShardJob(codec.EncodeShardJob(cjob))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(tjob, gotT) {
-		t.Fatalf("transition job:\nwant %+v\ngot  %+v", tjob, gotT)
+	if !reflect.DeepEqual(cjob, gotC) {
+		t.Fatalf("chain job:\nwant %+v\ngot  %+v", cjob, gotC)
 	}
 
 	res := &codec.ShardResult{
@@ -106,19 +121,13 @@ func TestShardWireRoundTrip(t *testing.T) {
 		t.Fatalf("result:\nwant %+v\ngot  %+v", res, gotRes)
 	}
 
-	cres := &codec.ShardResult{
-		JobID: 9, Kind: codec.JobChain,
-		Chains: []codec.WireChainOutcome{
-			{Index: 0, Located: true, Exact: true, Cands: 1},
-			{Index: 5, Located: false, Exact: false, Cands: 3},
-		},
-	}
-	gotC, err := codec.DecodeShardResult(codec.EncodeShardResult(cres))
+	cres := sampleChainResult()
+	gotCR, err := codec.DecodeShardResult(codec.EncodeShardResult(cres))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(cres, gotC) {
-		t.Fatalf("chain result:\nwant %+v\ngot  %+v", cres, gotC)
+	if !reflect.DeepEqual(cres, gotCR) {
+		t.Fatalf("chain result:\nwant %+v\ngot  %+v", cres, gotCR)
 	}
 
 	se := &codec.ShardError{JobID: 7, Transient: true, Msg: "cache tier unavailable"}
@@ -155,6 +164,46 @@ func TestShardJobValidation(t *testing.T) {
 	bad.Kind = 99
 	if _, err := codec.DecodeShardJob(codec.EncodeShardJob(bad)); err == nil {
 		t.Error("unknown job kind accepted")
+	}
+	bad = sampleShardJob()
+	bad.Kind = 4 // the retired transition kind
+	if _, err := codec.DecodeShardJob(codec.EncodeShardJob(bad)); err == nil {
+		t.Error("retired transition job kind accepted")
+	}
+	bad = sampleChainJob()
+	bad.Faults = []codec.WireFault{{Net: 1}, {Net: 2}, {Net: 3}}
+	if _, err := codec.DecodeShardJob(codec.EncodeShardJob(bad)); err == nil {
+		t.Error("chain job carrying faults accepted")
+	}
+}
+
+// TestShardJobVersion1Rejected: a job frame sealed at the first wire
+// revision, whose payload still carried a transition-fault count, must
+// fail the version check rather than be parsed under the new layout.
+func TestShardJobVersion1Rejected(t *testing.T) {
+	job := sampleShardJob()
+	env := codec.EncodeShardJob(job)
+	payload := env[16 : len(env)-sha256.Size]
+	// The version-1 layout: the same fields with an empty transition
+	// list between the stuck-at faults and the index list that closes
+	// the payload.
+	cut := len(payload) - 4 - 4*len(job.Indices)
+	v1 := append([]byte(nil), payload[:cut]...)
+	v1 = binary.LittleEndian.AppendUint32(v1, 0)
+	v1 = append(v1, payload[cut:]...)
+	old := make([]byte, 0, 16+len(v1)+sha256.Size)
+	old = append(old, env[:16]...)
+	binary.LittleEndian.PutUint16(old[6:], 1)
+	binary.LittleEndian.PutUint64(old[8:], uint64(len(v1)))
+	old = append(old, v1...)
+	sum := sha256.Sum256(old)
+	old = append(old, sum[:]...)
+	if _, err := codec.Inspect(old); err != nil {
+		t.Fatalf("hand-sealed frame is not a valid envelope: %v", err)
+	}
+	_, err := codec.DecodeShardJob(old)
+	if err == nil || !strings.Contains(err.Error(), "version 1, want 2") {
+		t.Fatalf("version-1 job: err = %v, want the version error", err)
 	}
 }
 
@@ -228,6 +277,8 @@ func FuzzShardFrame(f *testing.F) {
 	}))
 	seed(codec.EncodeShardError(&codec.ShardError{JobID: 1, Transient: true, Msg: "x"}))
 	seed(codec.EncodeShardProgress(&codec.ShardProgress{JobID: 1, Done: 1, Total: 2}))
+	seed(codec.EncodeShardJob(sampleChainJob()))
+	seed(codec.EncodeShardResult(sampleChainResult()))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)

@@ -192,7 +192,7 @@ func (p *dispatchPool) RunJob(ctx context.Context, i int) error {
 		return errAllWorkersDead
 	}
 	job := p.jobs[i]
-	p.co.progress("worker %s: shard %d (%d faults)", wc.Node(), job.ID, shardLen(job))
+	p.co.progress("worker %s: shard %d (%d faults)", wc.Node(), job.ID, len(job.Indices))
 	res, connOK, err := p.exchange(ctx, wc, job)
 	if err == nil {
 		if verr := validateResult(job, res); verr != nil {
@@ -213,9 +213,6 @@ func (p *dispatchPool) RunJob(ctx context.Context, i int) error {
 	p.results[i] = res
 	return nil
 }
-
-// shardLen reports how many work units a job carries, for progress.
-func shardLen(job *codec.ShardJob) int { return len(job.Indices) }
 
 // exchange runs one job round trip on wc: send the job, consume
 // progress frames, return the result or error frame. connOK reports
@@ -281,28 +278,22 @@ func (p *dispatchPool) exchange(ctx context.Context, wc *WorkerConn, job *codec.
 }
 
 // validateResult checks a result frame against the job that produced
-// it: right kind, and exactly one delta per dispatched index, in order.
+// it: right kind, and exactly one unit result per dispatched index, in
+// order — chain outcomes for a chain job, diagnoses otherwise.
 func validateResult(job *codec.ShardJob, res *codec.ShardResult) error {
 	if res.Kind != job.Kind {
 		return fmt.Errorf("shard: shard %d: result kind %d, want %d", job.ID, res.Kind, job.Kind)
 	}
+	n, index := len(res.Diagnoses), func(k int) uint32 { return res.Diagnoses[k].Index }
 	if job.Kind == codec.JobChain {
-		if len(res.Chains) != len(job.Indices) {
-			return fmt.Errorf("shard: shard %d: %d chain outcomes for %d injections", job.ID, len(res.Chains), len(job.Indices))
-		}
-		for k := range res.Chains {
-			if res.Chains[k].Index != job.Indices[k] {
-				return fmt.Errorf("shard: shard %d: outcome %d is for injection %d, want %d", job.ID, k, res.Chains[k].Index, job.Indices[k])
-			}
-		}
-		return nil
+		n, index = len(res.Chains), func(k int) uint32 { return res.Chains[k].Index }
 	}
-	if len(res.Diagnoses) != len(job.Indices) {
-		return fmt.Errorf("shard: shard %d: %d diagnoses for %d faults", job.ID, len(res.Diagnoses), len(job.Indices))
+	if n != len(job.Indices) {
+		return fmt.Errorf("shard: shard %d: %d results for %d units", job.ID, n, len(job.Indices))
 	}
-	for k := range res.Diagnoses {
-		if res.Diagnoses[k].Index != job.Indices[k] {
-			return fmt.Errorf("shard: shard %d: diagnosis %d is for fault %d, want %d", job.ID, k, res.Diagnoses[k].Index, job.Indices[k])
+	for k, want := range job.Indices {
+		if got := index(k); got != want {
+			return fmt.Errorf("shard: shard %d: result %d is for unit %d, want %d", job.ID, k, got, want)
 		}
 	}
 	return nil

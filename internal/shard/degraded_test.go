@@ -10,7 +10,9 @@ import (
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/partition"
+	"repro/internal/scan"
 	"repro/internal/sim"
+	"repro/internal/soc"
 )
 
 // startFakeWorker serves the hello handshake and then hands the
@@ -77,6 +79,50 @@ func alwaysFailsPermanently(conn net.Conn) {
 			return
 		}
 	}
+}
+
+// failsLastShard serves jobs through srv, except shard failID, which it
+// reports as a permanent failure. Failing the highest job ID leaves
+// every other shard claimed before the failure stops dispatch, so the
+// gap in the merged result is exactly that one shard.
+func failsLastShard(srv *Server, failID uint64) func(net.Conn) {
+	return func(conn net.Conn) {
+		for {
+			env, _, err := codec.ReadFrame(conn)
+			if err != nil {
+				return
+			}
+			job, err := codec.DecodeShardJob(env)
+			if err != nil {
+				return
+			}
+			frame := codec.EncodeShardError(&codec.ShardError{
+				JobID: job.ID, Transient: false, Msg: "injected permanent failure",
+			})
+			if job.ID != failID {
+				res, err := srv.runJob(context.Background(), conn, job)
+				if err != nil {
+					return
+				}
+				frame = codec.EncodeShardResult(res)
+			}
+			if err := codec.WriteFrame(conn, frame); err != nil {
+				return
+			}
+		}
+	}
+}
+
+// lastShardPool dials two connections to a worker that fails the
+// coordinator's last shard of n uniform-cost units, and returns the
+// coordinator and the global indices that shard covers.
+func lastShardPool(t *testing.T, n int) (*Coordinator, []int) {
+	t.Helper()
+	const shards = 4
+	plan := PlanShards(UniformCosts(n), shards)
+	srv := NewServer(ServerConfig{Node: "selective", Workers: 1})
+	conns := dialPool(t, startFakeWorker(t, failsLastShard(srv, uint64(len(plan)))), 2)
+	return &Coordinator{Conns: conns, Shards: shards}, plan[len(plan)-1].Indices
 }
 
 func degradedFixture(t *testing.T) (*core.CircuitBench, core.Options, []sim.Fault, []*core.FaultDiagnosis, codec.DeviceRef) {
@@ -186,5 +232,88 @@ func TestShardPermanentFailureSoundSubset(t *testing.T) {
 			t.Fatalf("observed fault %v not in the dispatched list", fd.Fault)
 		}
 		sameDiag(t, i, ref, fd)
+	}
+}
+
+// A permanent failure in an SOC core run leaves the merged study an
+// aggregate of the completed shards: Completeness counts exactly the
+// missing shard's faults, every observed diagnosis matches the
+// single-process sweep, and each candidate set still covers the cells
+// the fault really fails.
+func TestShardPermanentFailureSOCCore(t *testing.T) {
+	s, err := soc.Preset("socmini")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := core.Options{Scheme: partition.TwoStep{}, Groups: 4, Partitions: 4, Patterns: 64, Ideal: true}
+	bench, err := core.NewSOCBench(s, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const coreIdx = 1
+	faults := sim.SampleFaults(bench.CoreFaults(coreIdx), 40, 23)
+	byFault := make(map[sim.Fault]*core.FaultDiagnosis, len(faults))
+	if _, err := bench.RunCoreObservedContext(context.Background(), coreIdx, faults, func(fd *core.FaultDiagnosis) {
+		byFault[fd.Fault] = fd
+	}); err != nil {
+		t.Fatal(err)
+	}
+	co, missing := lastShardPool(t, len(faults))
+	var got []*core.FaultDiagnosis
+	study, err := co.RunSOCCore(context.Background(), SOCRef("socmini", s), coreIdx, o, faults, nil, func(fd *core.FaultDiagnosis) {
+		got = append(got, fd)
+	})
+	if err == nil || !strings.Contains(err.Error(), "injected permanent failure") {
+		t.Fatalf("err = %v, want the injected permanent failure", err)
+	}
+	if study == nil {
+		t.Fatal("no study for the completed shards")
+	}
+	if c := study.Completeness; c.Scheduled != len(faults) || c.Observed != len(faults)-len(missing) {
+		t.Fatalf("completeness %+v, want %d of %d observed", c, len(faults)-len(missing), len(faults))
+	}
+	if len(got) != study.Completeness.Observed {
+		t.Fatalf("observed %d diagnoses, completeness says %d", len(got), study.Completeness.Observed)
+	}
+	lost := make(map[sim.Fault]bool, len(missing))
+	for _, i := range missing {
+		lost[faults[i]] = true
+	}
+	for i, fd := range got {
+		if lost[fd.Fault] {
+			t.Fatalf("fault %v of the failed shard was reported", fd.Fault)
+		}
+		sameDiag(t, i, byFault[fd.Fault], fd)
+		if fd.Result == nil {
+			continue
+		}
+		if !fd.Result.Candidates.SupersetOf(fd.Actual) || !fd.Result.Pruned.SupersetOf(fd.Actual) {
+			t.Fatalf("fault %v: candidates %v / pruned %v miss actual %v",
+				fd.Fault, fd.Result.Candidates, fd.Result.Pruned, fd.Actual)
+		}
+	}
+}
+
+// A permanent failure in a chain sweep leaves nil outcomes exactly at
+// the failed shard's injections and real outcomes everywhere else.
+func TestShardPermanentFailureChain(t *testing.T) {
+	c := benchgen.MustGenerate("s298")
+	n := 2 * c.NumDFFs()
+	co, missing := lastShardPool(t, n)
+	got, err := co.RunChain(context.Background(), ProfileRef("s298", 0, 1, c), scan.NaturalOrder(c.NumDFFs()), n)
+	if err == nil || !strings.Contains(err.Error(), "injected permanent failure") {
+		t.Fatalf("err = %v, want the injected permanent failure", err)
+	}
+	if len(got) != n {
+		t.Fatalf("%d outcomes for %d injections", len(got), n)
+	}
+	lost := make(map[int]bool, len(missing))
+	for _, i := range missing {
+		lost[i] = true
+	}
+	for i, out := range got {
+		if (out == nil) != lost[i] {
+			t.Fatalf("injection %d: nil outcome %v, in failed shard %v", i, out == nil, lost[i])
+		}
 	}
 }

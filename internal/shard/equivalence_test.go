@@ -15,7 +15,7 @@ import (
 
 // The equivalence matrix: single-process sweeps versus {1, 2, 4}-worker
 // sharded runs, across stuck-at (perfect and noisy testers), SOC
-// meta-chain, transition, and chain-fault sweeps. Every per-fault
+// meta-chain, and chain-fault sweeps. Every per-fault
 // verdict and every study aggregate (bar batch-plan shape) must be
 // bit-identical at every worker count.
 
@@ -86,6 +86,8 @@ func TestShardEquivalenceSOC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref := SOCRef("socmini", s)
+	addr := startWorker(t, ServerConfig{Node: "w1", Workers: 2})
 	for _, chains := range []int{1, 4} {
 		o := testOpts(partition.TwoStep{})
 		o.Chains = chains
@@ -93,82 +95,31 @@ func TestShardEquivalenceSOC(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		coreFaults := map[int][]sim.Fault{
-			0: sim.SampleFaults(bench.CoreFaults(0), 25, 23),
-			1: sim.SampleFaults(bench.CoreFaults(1), 25, 23),
-		}
-		wantStudies := make(map[int]*core.Study)
-		want := make(map[int][]*core.FaultDiagnosis)
 		for _, ci := range []int{0, 1} {
-			study, err := bench.RunCoreObservedContext(context.Background(), ci, coreFaults[ci], func(fd *core.FaultDiagnosis) {
-				want[ci] = append(want[ci], fd)
+			faults := sim.SampleFaults(bench.CoreFaults(ci), 25, 23)
+			var want []*core.FaultDiagnosis
+			wantStudy, err := bench.RunCoreObservedContext(context.Background(), ci, faults, func(fd *core.FaultDiagnosis) {
+				want = append(want, fd)
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantStudies[ci] = study
-		}
-		ref := SOCRef("socmini", s)
-		addr := startWorker(t, ServerConfig{Node: "w1", Workers: 2})
-		for _, workers := range workerCounts {
-			co := &Coordinator{Conns: dialPool(t, addr, workers)}
-			got := make(map[int][]*core.FaultDiagnosis)
-			gotStudies, err := co.RunSOC(context.Background(), ref, o, coreFaults, nil, func(ci int, fd *core.FaultDiagnosis) {
-				got[ci] = append(got[ci], fd)
-			})
-			if err != nil {
-				t.Fatalf("chains=%d workers=%d: %v", chains, workers, err)
-			}
-			for _, ci := range []int{0, 1} {
-				if len(got[ci]) != len(want[ci]) {
-					t.Fatalf("chains=%d workers=%d core %d: observed %d of %d", chains, workers, ci, len(got[ci]), len(want[ci]))
+			for _, workers := range workerCounts {
+				co := &Coordinator{Conns: dialPool(t, addr, workers)}
+				var got []*core.FaultDiagnosis
+				gotStudy, err := co.RunSOCCore(context.Background(), ref, ci, o, faults, nil, func(fd *core.FaultDiagnosis) {
+					got = append(got, fd)
+				})
+				if err != nil {
+					t.Fatalf("chains=%d workers=%d core %d: %v", chains, workers, ci, err)
 				}
-				for i := range want[ci] {
-					sameDiag(t, i, want[ci][i], got[ci][i])
+				if len(got) != len(want) {
+					t.Fatalf("chains=%d workers=%d core %d: observed %d of %d", chains, workers, ci, len(got), len(want))
 				}
-				sameStudy(t, wantStudies[ci], gotStudies[ci])
-			}
-		}
-	}
-}
-
-func TestShardEquivalenceTransition(t *testing.T) {
-	c := benchgen.MustGenerate("s953")
-	o := core.Options{Scheme: partition.TwoStep{}, Groups: 4}
-	all := sim.TransitionFaultList(c)
-	if len(all) > 80 {
-		all = all[:80]
-	}
-	want, err := RunTransitionLocal(c, o, all)
-	if err != nil {
-		t.Fatal(err)
-	}
-	detected := 0
-	for _, to := range want {
-		if to.Detected {
-			detected++
-		}
-	}
-	if detected == 0 {
-		t.Fatal("reference sweep detected nothing")
-	}
-	ref := ProfileRef("s953", 0, 1, c)
-	addr := startWorker(t, ServerConfig{Node: "w1", Workers: 2})
-	for _, workers := range workerCounts {
-		co := &Coordinator{Conns: dialPool(t, addr, workers)}
-		got, err := co.RunTransition(context.Background(), ref, o, all, TransitionCosts(c, all), nil)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range want {
-			if got[i] == nil {
-				t.Fatalf("workers=%d: fault %d missing", workers, i)
-			}
-			if want[i].Fault != got[i].Fault || want[i].Detected != got[i].Detected {
-				t.Fatalf("workers=%d: fault %d outcome differs", workers, i)
-			}
-			if !sameSet(want[i].Actual, got[i].Actual) || !sameSet(want[i].Candidates, got[i].Candidates) {
-				t.Fatalf("workers=%d: fault %d sets differ", workers, i)
+				for i := range want {
+					sameDiag(t, i, want[i], got[i])
+				}
+				sameStudy(t, wantStudy, gotStudy)
 			}
 		}
 	}

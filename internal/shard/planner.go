@@ -36,15 +36,6 @@ func StuckAtCosts(c *circuit.Circuit, faults []sim.Fault) []int {
 	return costs
 }
 
-// TransitionCosts mirrors StuckAtCosts for transition faults.
-func TransitionCosts(c *circuit.Circuit, faults []sim.TransitionFault) []int {
-	costs := make([]int, len(faults))
-	for i, f := range faults {
-		costs[i] = len(c.Cone(f.Net).Cells) + 1
-	}
-	return costs
-}
-
 // UniformCosts weighs every fault equally; used where no circuit is at
 // hand (chain-diagnosis injections all cost roughly the same anyway).
 func UniformCosts(n int) []int {

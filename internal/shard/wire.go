@@ -1,14 +1,14 @@
 // Package shard implements the coordinator/worker runtime that fans a
-// diagnosis sweep out over worker processes: the fault universe (and,
-// for SOCs, whole cores) is partitioned into shards, each shard travels
-// as a compact content-keyed descriptor over a length-prefixed binary
-// protocol (internal/codec's sealed envelopes on TCP or Unix sockets),
-// and workers rebuild every heavy artifact through their own
-// ArtifactCache — typically attached to a shared -cachedir — before
-// returning per-fault verdict deltas. The coordinator merges deltas
-// slot-major, so a sharded run's study and observe order are
-// bit-identical to the single-process sweep regardless of shard count
-// or worker count.
+// diagnosis sweep out over worker processes: the fault list of a
+// circuit or of one SOC core (or a chain sweep's injections) is
+// partitioned into shards, each shard travels as a compact
+// content-keyed descriptor over a length-prefixed binary protocol
+// (internal/codec's sealed envelopes on TCP or Unix sockets), and
+// workers rebuild every heavy artifact through their own ArtifactCache —
+// typically attached to a shared -cachedir — before returning per-unit
+// results. The coordinator merges them slot-major, so a sharded run's
+// study and observe order are bit-identical to the single-process sweep
+// regardless of shard count or worker count.
 package shard
 
 import (
@@ -173,22 +173,6 @@ func faultsFromWire(faults []codec.WireFault) []sim.Fault {
 	out := make([]sim.Fault, len(faults))
 	for i, f := range faults {
 		out[i] = sim.Fault{Net: circuit.NetID(f.Net), Gate: circuit.NetID(f.Gate), Pin: int(f.Pin), Stuck: f.Stuck}
-	}
-	return out
-}
-
-func tfaultsToWire(faults []sim.TransitionFault) []codec.WireTransitionFault {
-	out := make([]codec.WireTransitionFault, len(faults))
-	for i, f := range faults {
-		out[i] = codec.WireTransitionFault{Net: int32(f.Net), SlowToRise: f.SlowToRise}
-	}
-	return out
-}
-
-func tfaultsFromWire(faults []codec.WireTransitionFault) []sim.TransitionFault {
-	out := make([]sim.TransitionFault, len(faults))
-	for i, f := range faults {
-		out[i] = sim.TransitionFault{Net: circuit.NetID(f.Net), SlowToRise: f.SlowToRise}
 	}
 	return out
 }

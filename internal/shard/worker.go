@@ -158,60 +158,54 @@ func (s *Server) options(job *codec.ShardJob) (core.Options, error) {
 // progress frames. Chunking serves two masters: the coordinator sees
 // liveness, and the worker notices a dead coordinator (the progress
 // write fails) instead of grinding out a shard nobody will collect.
-// Per-fault results are independent of chunk boundaries, so chunking
+// Per-unit results are independent of chunk boundaries, so chunking
 // cannot perturb verdicts.
 const progressChunks = 8
 
-// chunkBounds yields [lo, hi) slices cutting n units into at most
-// progressChunks pieces.
-func chunkBounds(n int) [][2]int {
-	k := progressChunks
-	if k > n {
-		k = n
-	}
-	if k == 0 {
-		return nil
-	}
-	out := make([][2]int, 0, k)
-	for i := 0; i < k; i++ {
-		lo, hi := i*n/k, (i+1)*n/k
-		if lo < hi {
-			out = append(out, [2]int{lo, hi})
-		}
-	}
-	return out
-}
-
-func sendProgress(conn net.Conn, jobID uint64, done, total int) error {
-	p := &codec.ShardProgress{JobID: jobID, Done: uint32(done), Total: uint32(total)}
-	if err := codec.WriteFrame(conn, codec.EncodeShardProgress(p)); err != nil {
-		return fmt.Errorf("shard: sending progress: %w", err)
-	}
-	return nil
-}
-
-// runJob executes one decoded job and produces its result frame.
+// runJob executes one decoded job and produces its result frame. Each
+// kind supplies a chunk function that appends the results for units
+// [lo, hi) of job.Indices to res; the one loop below walks the chunks in
+// order and reports progress after each, so results come out in global
+// index order and need no sorting.
 func (s *Server) runJob(ctx context.Context, conn net.Conn, job *codec.ShardJob) (*codec.ShardResult, error) {
+	res := &codec.ShardResult{JobID: job.ID, Kind: job.Kind}
+	var chunk func(lo, hi int) error
+	var err error
 	switch job.Kind {
 	case codec.JobCircuit, codec.JobSOCCore:
-		return s.runFaultJob(ctx, conn, job)
-	case codec.JobTransition:
-		return s.runTransitionJob(ctx, conn, job)
+		chunk, err = s.faultChunks(ctx, job, res)
 	case codec.JobChain:
-		return s.runChainJob(ctx, conn, job)
+		chunk, err = s.chainChunks(ctx, job, res)
+	default:
+		err = fmt.Errorf("shard: job kind %d not implemented", job.Kind)
 	}
-	return nil, fmt.Errorf("shard: job kind %d not implemented", job.Kind)
+	if err != nil {
+		return nil, err
+	}
+	total := len(job.Indices)
+	k := min(progressChunks, total)
+	for i := 0; i < k; i++ {
+		// k <= total, so every [lo, hi) is non-empty.
+		lo, hi := i*total/k, (i+1)*total/k
+		if err := chunk(lo, hi); err != nil {
+			return nil, err
+		}
+		p := &codec.ShardProgress{JobID: job.ID, Done: uint32(hi), Total: uint32(total)}
+		if err := codec.WriteFrame(conn, codec.EncodeShardProgress(p)); err != nil {
+			return nil, fmt.Errorf("shard: sending progress: %w", err)
+		}
+	}
+	return res, nil
 }
 
 // faultSweeper is the common face of CircuitBench and SOCBench sweeps
 // the worker drives chunk by chunk.
 type faultSweeper func(ctx context.Context, faults []sim.Fault, observe func(*core.FaultDiagnosis)) (*core.Study, error)
 
-// runFaultJob runs a stuck-at shard — standalone circuit or one SOC
-// core — in progress-reporting chunks. The per-fault verdict deltas are
-// appended in global index order (shard indices are ascending and
-// chunks walk them in order), so the result needs no sorting.
-func (s *Server) runFaultJob(ctx context.Context, conn net.Conn, job *codec.ShardJob) (*codec.ShardResult, error) {
+// faultChunks prepares a stuck-at shard — standalone circuit or one SOC
+// core — and returns the chunk function that sweeps a slice of its
+// faults, appending one verdict delta per fault.
+func (s *Server) faultChunks(ctx context.Context, job *codec.ShardJob, res *codec.ShardResult) (func(lo, hi int) error, error) {
 	o, err := s.options(job)
 	if err != nil {
 		return nil, err
@@ -250,30 +244,20 @@ func (s *Server) runFaultJob(ctx context.Context, conn net.Conn, job *codec.Shar
 			return bench.RunCoreObservedContext(ctx, coreIdx, faults, observe)
 		}
 	}
-
-	res := &codec.ShardResult{
-		JobID:     job.ID,
-		Kind:      job.Kind,
-		LaneCap:   uint32(laneCap(o.Lanes)),
-		Diagnoses: make([]codec.WireDiagnosis, 0, len(faults)),
-	}
-	total := len(faults)
-	for _, b := range chunkBounds(total) {
-		lo, hi := b[0], b[1]
+	res.LaneCap = uint32(laneCap(o.Lanes))
+	res.Diagnoses = make([]codec.WireDiagnosis, 0, len(faults))
+	return func(lo, hi int) error {
 		k := lo
 		study, err := sweep(ctx, faults[lo:hi], func(fd *core.FaultDiagnosis) {
 			res.Diagnoses = append(res.Diagnoses, diagnosisToWire(job.Indices[k], fd))
 			k++
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		res.PlanBatches += uint32(study.PlanBatches)
-		if err := sendProgress(conn, job.ID, hi, total); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+		return nil
+	}, nil
 }
 
 // laneCap mirrors sim.BatchOptions' lane clamping so the result frame
@@ -285,58 +269,11 @@ func laneCap(lanes int) int {
 	return lanes
 }
 
-// runTransitionJob runs a transition shard chunk by chunk through the
-// shared launch-off-capture recipe.
-func (s *Server) runTransitionJob(ctx context.Context, conn net.Conn, job *codec.ShardJob) (*codec.ShardResult, error) {
-	o, err := s.options(job)
-	if err != nil {
-		return nil, err
-	}
-	if o.Chains > 1 {
-		return nil, fmt.Errorf("shard: transition shard %d requires a single chain, got %d", job.ID, o.Chains)
-	}
-	c, err := s.reg.resolveCircuit(job.Device)
-	if err != nil {
-		return nil, err
-	}
-	faults := tfaultsFromWire(job.TFaults)
-	res := &codec.ShardResult{
-		JobID:     job.ID,
-		Kind:      job.Kind,
-		LaneCap:   uint32(laneCap(o.Lanes)),
-		Diagnoses: make([]codec.WireDiagnosis, 0, len(faults)),
-	}
-	total := len(faults)
-	for _, b := range chunkBounds(total) {
-		lo, hi := b[0], b[1]
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		outs, err := RunTransitionLocal(c, o, faults[lo:hi])
-		if err != nil {
-			return nil, err
-		}
-		for k, to := range outs {
-			d := codec.WireDiagnosis{
-				Index:    job.Indices[lo+k],
-				Detected: to.Detected,
-				Actual:   setElems(to.Actual),
-			}
-			if to.Detected {
-				d.Pruned = setElems(to.Candidates)
-			}
-			res.Diagnoses = append(res.Diagnoses, d)
-		}
-		if err := sendProgress(conn, job.ID, hi, total); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
-}
-
-// runChainJob runs a chain-fault injection shard: injection i plants
-// ChainFault{Position: i/2, Stuck: i%2}, exactly chaindiag's sweep.
-func (s *Server) runChainJob(ctx context.Context, conn net.Conn, job *codec.ShardJob) (*codec.ShardResult, error) {
+// chainChunks prepares a chain-fault injection shard and returns the
+// chunk function that runs a slice of its injections: injection i
+// plants ChainFault{Position: i/2, Stuck: i%2}, exactly chaindiag's
+// sweep.
+func (s *Server) chainChunks(ctx context.Context, job *codec.ShardJob, res *codec.ShardResult) (func(lo, hi int) error, error) {
 	c, err := s.reg.resolveCircuit(job.Device)
 	if err != nil {
 		return nil, err
@@ -348,33 +285,24 @@ func (s *Server) runChainJob(ctx context.Context, conn net.Conn, job *codec.Shar
 	for i, v := range job.Spec.ScanOrder {
 		order[i] = int(v)
 	}
-	res := &codec.ShardResult{
-		JobID:  job.ID,
-		Kind:   job.Kind,
-		Chains: make([]codec.WireChainOutcome, 0, len(job.Indices)),
-	}
-	total := len(job.Indices)
-	for _, b := range chunkBounds(total) {
-		lo, hi := b[0], b[1]
+	res.Chains = make([]codec.WireChainOutcome, 0, len(job.Indices))
+	return func(lo, hi int) error {
 		for _, idx := range job.Indices[lo:hi] {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return err
 			}
 			i := int(idx)
 			if i >= 2*c.NumDFFs() {
-				return nil, fmt.Errorf("shard: chain shard %d injection %d outside chain of %d cells", job.ID, i, c.NumDFFs())
+				return fmt.Errorf("shard: chain shard %d injection %d outside chain of %d cells", job.ID, i, c.NumDFFs())
 			}
 			out, err := chaindiag.Inject(c, order, chaindiag.ChainFault{Position: i / 2, Stuck: uint8(i % 2)})
 			if err != nil {
-				return nil, err
+				return err
 			}
 			res.Chains = append(res.Chains, codec.WireChainOutcome{
 				Index: idx, Located: out.Located, Exact: out.Exact, Cands: uint32(out.Cands),
 			})
 		}
-		if err := sendProgress(conn, job.ID, hi, total); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+		return nil
+	}, nil
 }
