@@ -66,51 +66,80 @@ func runFull(t *testing.T, b *CircuitBench, faults []sim.Fault) (*Study, []*Faul
 
 // TestCancelSweepPartialIsPrefix sweeps the cancellation point across a
 // run: wherever the countdown lands — before the first batch, between
-// kernel blocks inside one, or past the end — the partial study must
-// aggregate a bit-for-bit prefix of the full run's per-fault diagnoses
-// and label itself with how far it got.
+// kernel blocks inside one, between the lanes of one, or past the end —
+// the partial study must aggregate a bit-for-bit prefix of the full run's
+// per-fault diagnoses and label itself with how far it got. The
+// single-batch cases can only stop partway by cancelling mid-lane, with
+// helpers sharing the batch's lanes when there are several workers.
 func TestCancelSweepPartialIsPrefix(t *testing.T) {
 	c := benchgen.MustGenerate("s953")
-	o := baseOpts(partition.TwoStep{})
-	o.Workers = 1
-	b, err := NewCircuitBench(c, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	faults := sim.SampleFaults(b.Faults(), 40, 9)
-	fullStudy, full, fullCalls := runFull(t, b, faults)
+	for _, tc := range []struct {
+		name        string
+		workers     int
+		singleBatch bool
+	}{
+		{"batches", 1, false},
+		{"single-batch", 1, true},
+		{"single-batch-helpers", 4, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := baseOpts(partition.TwoStep{})
+			o.Workers = tc.workers
+			b, err := NewCircuitBench(c, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			faults := sim.SampleFaults(b.Faults(), 40, 9)
+			if tc.singleBatch {
+				faults = singleBatchSample(t, c, faults)
+			}
+			fullStudy, full, fullCalls := runFull(t, b, faults)
+			if tc.singleBatch != (fullStudy.PlanBatches == 1) {
+				t.Fatalf("sweep ran %d batches", fullStudy.PlanBatches)
+			}
 
-	// The cancellable full run packs batches in scan order rather than
-	// cone-aware, but must still aggregate to the identical study.
-	if want := b.Run(faults); !reflect.DeepEqual(fullStudy, want) {
-		t.Fatalf("cancellable full sweep %+v differs from context-free run %+v", fullStudy, want)
-	}
+			// The cancellable full run packs batches in scan order rather
+			// than cone-aware, but must still aggregate to the identical
+			// study.
+			if want := b.Run(faults); !reflect.DeepEqual(fullStudy, want) {
+				t.Fatalf("cancellable full sweep %+v differs from context-free run %+v", fullStudy, want)
+			}
 
-	partials := 0
-	for trip := 1; trip < fullCalls; trip = trip*2 + 1 {
-		ctx := newCountdown(trip)
-		var got []*FaultDiagnosis
-		study, err := b.RunObservedContext(ctx, faults, func(fd *FaultDiagnosis) { got = append(got, fd) })
-		n := study.Completeness.Observed
-		if err == nil {
-			t.Fatalf("trip=%d: cancelled sweep reported no error", trip)
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("trip=%d: err = %v, want context.Canceled", trip, err)
-		}
-		if study.Completeness.Scheduled != len(faults) || n != len(got) {
-			t.Fatalf("trip=%d: completeness %+v for %d observed diagnoses",
-				trip, study.Completeness, len(got))
-		}
-		if n > 0 && !reflect.DeepEqual(got, full[:n]) {
-			t.Fatalf("trip=%d: partial diagnoses are not a prefix of the full run (observed %d)", trip, n)
-		}
-		if n > 0 && n < len(faults) {
-			partials++
-		}
-	}
-	if partials == 0 {
-		t.Fatal("no cancellation point produced a strictly partial study; the sweep never cancelled mid-run")
+			partials := 0
+			for trip := 1; trip < fullCalls; trip = trip*2 + 1 {
+				ctx := newCountdown(trip)
+				var got []*FaultDiagnosis
+				study, err := b.RunObservedContext(ctx, faults, func(fd *FaultDiagnosis) { got = append(got, fd) })
+				n := study.Completeness.Observed
+				if err == nil && tc.workers > 1 && n == len(faults) {
+					// With several workers the poll count varies from run
+					// to run, so a late trip may never be reached.
+					if !reflect.DeepEqual(got, full) {
+						t.Fatalf("trip=%d: uncancelled sweep differs from the full run", trip)
+					}
+					continue
+				}
+				if err == nil {
+					t.Fatalf("trip=%d: cancelled sweep reported no error", trip)
+				}
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("trip=%d: err = %v, want context.Canceled", trip, err)
+				}
+				if study.Completeness.Scheduled != len(faults) || n != len(got) {
+					t.Fatalf("trip=%d: completeness %+v for %d observed diagnoses",
+						trip, study.Completeness, len(got))
+				}
+				if n > 0 && !reflect.DeepEqual(got, full[:n]) {
+					t.Fatalf("trip=%d: partial diagnoses are not a prefix of the full run (observed %d)", trip, n)
+				}
+				if n > 0 && n < len(faults) {
+					partials++
+				}
+			}
+			if partials == 0 {
+				t.Fatal("no cancellation point produced a strictly partial study; the sweep never cancelled mid-run")
+			}
+		})
 	}
 }
 
@@ -126,10 +155,8 @@ func TestCancelSweepHalfDeadlineS13207(t *testing.T) {
 	c := benchgen.MustGenerate("s13207")
 	o := baseOpts(partition.TwoStep{})
 	o.Workers = 1
-	// Cancellation granularity is one batch: at the default 256-lane cap
-	// all 12 sampled faults pack into a single batch and the only partial
-	// study possible is the empty one. Pin a small cap so the sweep spans
-	// several batches and a mid-run cancel can land between them.
+	// Pin a small lane cap so the sweep spans several batches and a
+	// mid-run cancel can land between them as well as between lanes.
 	o.Lanes = 4
 	b, err := NewCircuitBench(c, o)
 	if err != nil {

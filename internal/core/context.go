@@ -4,10 +4,12 @@ import (
 	"context"
 
 	"repro/internal/bist"
+	"repro/internal/bitset"
 	"repro/internal/circuit"
 	"repro/internal/diagnosis"
 	"repro/internal/pipeline"
 	"repro/internal/sim"
+	"repro/internal/soc"
 )
 
 // This file is the context-aware face of the benches: cancellable fault
@@ -56,10 +58,10 @@ func finishStudy(study *Study, results []*FaultDiagnosis, observe func(*FaultDia
 }
 
 // RunContext is Run with cancellation: on a context deadline or cancel
-// the sweep stops claiming batches, drains the ones in flight, and
-// returns the partial study aggregating the contiguous prefix of faults
-// it finished (Study.Completeness records how far it got) together with
-// ctx's error. A nil error means the study is complete.
+// the sweep stops claiming batches and lanes, drains the ones in flight,
+// and returns the partial study aggregating the contiguous prefix of
+// faults it finished (Study.Completeness records how far it got)
+// together with ctx's error. A nil error means the study is complete.
 func (b *CircuitBench) RunContext(ctx context.Context, faults []sim.Fault) (*Study, error) {
 	return b.RunObservedContext(ctx, faults, nil)
 }
@@ -67,33 +69,14 @@ func (b *CircuitBench) RunContext(ctx context.Context, faults []sim.Fault) (*Stu
 // RunObservedContext is RunContext with RunObserved's per-fault callback;
 // observe sees exactly the faults the study aggregates, in fault order.
 func (b *CircuitBench) RunObservedContext(ctx context.Context, faults []sim.Fault, observe func(*FaultDiagnosis)) (*Study, error) {
-	study := newStudy(b.Opts, b.Opts.Scheme.Name())
-	results := make([]*FaultDiagnosis, len(faults))
 	release := b.Opts.Cache.PinCircuit(b.art)
 	defer release()
-	plan := b.Opts.Cache.Plan(b.Circuit, faults, sweepOptions(ctx, b.Opts))
-	stampPlan(study, plan)
-	err := pipeline.Executor{Workers: b.Opts.Workers, Retry: b.Opts.Retry.Policy()}.RunBatchesContext(ctx, len(plan.Batches), func() func(int) error {
-		fs := b.fs.Fork()
-		bs := fs.NewBatchScratch(plan)
-		sc := fs.NewScratch()
-		w := newDiagWorker(b.Opts, b.art.Engine, b.art.Diag, b.art.Good, b.art.Blocks)
-		return func(pi int) error {
-			cb := plan.Batches[pi]
-			lane := -1
-			defer annotatePanic(&lane, cb, b.Circuit)
-			if err := fs.RunBatchContext(ctx, cb, bs); err != nil {
-				return err
-			}
-			for k, i := range cb.Index {
-				lane = k
-				res := fs.MaterializeBatch(bs, k, sc)
-				results[i] = w.diagnose(res.Fault, res.FailingCells, res.Detected(), res.Faulty)
-			}
-			return nil
-		}
-	})
-	return finishStudy(study, results, observe), err
+	sw := sweep{o: b.Opts, c: b.Circuit, eng: b.art.Engine, diag: b.art.Diag, good: b.art.Good, blocks: b.art.Blocks,
+		fork: func() laneSim {
+			fs := b.fs.Fork()
+			return &circuitLanes{fs: fs, sc: fs.NewScratch()}
+		}}
+	return sw.run(ctx, faults, observe)
 }
 
 // RunCoreContext is RunCore with cancellation; semantics mirror
@@ -107,45 +90,124 @@ func (b *SOCBench) RunCoreContext(ctx context.Context, core int, faults []sim.Fa
 // study aggregates, in fault order. Shard workers use it to capture the
 // per-fault diagnoses an SOC shard ships back as verdict deltas.
 func (b *SOCBench) RunCoreObservedContext(ctx context.Context, core int, faults []sim.Fault, observe func(*FaultDiagnosis)) (*Study, error) {
-	study := newStudy(b.Opts, b.Opts.Scheme.Name())
-	results := make([]*FaultDiagnosis, len(faults))
 	release := b.Opts.Cache.PinSOC(b.art)
 	defer release()
-	plan := b.Opts.Cache.Plan(b.SOC.Cores[core].Circuit, faults, sweepOptions(ctx, b.Opts))
+	sw := sweep{o: b.Opts, c: b.SOC.Cores[core].Circuit, eng: b.art.Engine, diag: b.art.Diag, good: b.fs.Good(), blocks: b.fs.Blocks(),
+		fork: func() laneSim {
+			fs := b.fs.Fork()
+			return &socLanes{fs: fs, core: core, sc: fs.NewScratch()}
+		}}
+	return sw.run(ctx, faults, observe)
+}
+
+// sweep is the one fault-sweep body behind the circuit and SOC benches:
+// the faults of netlist c are packed into a batch plan, each batch runs
+// the kernel once on the worker that claimed it, and its lanes — one
+// materialization and diagnosis per fault — fan out over every worker
+// with no batch left to claim (pipeline.RunLanes).
+type sweep struct {
+	o      Options
+	c      *circuit.Circuit // the netlist the faults live in
+	eng    *bist.Engine
+	diag   *diagnosis.Diagnoser
+	good   []*sim.Response
+	blocks []*sim.Block
+	// fork builds one worker's simulator view.
+	fork func() laneSim
+}
+
+// laneSim is one worker's view of the fault simulator a sweep runs on: a
+// fork of a circuit's FaultSim, or of an SOC's restricted to one core.
+type laneSim interface {
+	newBatchScratch(p *sim.BatchPlan) *sim.BatchScratch
+	runBatch(ctx context.Context, cb *sim.CompiledBatch, bs *sim.BatchScratch) error
+	// materialize reads lane k of a batch run into bs — possibly another
+	// worker's — into this worker's own scratch.
+	materialize(bs *sim.BatchScratch, k int) (f sim.Fault, actual *bitset.Set, detected bool, faulty []*sim.Response)
+}
+
+func (sw sweep) run(ctx context.Context, faults []sim.Fault, observe func(*FaultDiagnosis)) (*Study, error) {
+	study := newStudy(sw.o, sw.o.Scheme.Name())
+	results := make([]*FaultDiagnosis, len(faults))
+	plan := sw.o.Cache.Plan(sw.c, faults, sweepOptions(ctx, sw.o))
 	stampPlan(study, plan)
-	err := pipeline.Executor{Workers: b.Opts.Workers, Retry: b.Opts.Retry.Policy()}.RunBatchesContext(ctx, len(plan.Batches), func() func(int) error {
-		fs := b.fs.Fork()
-		bs := fs.NewCoreBatchScratch(core, plan)
-		sc := fs.NewScratch()
-		w := newDiagWorker(b.Opts, b.art.Engine, b.art.Diag, fs.Good(), fs.Blocks())
-		return func(pi int) error {
-			cb := plan.Batches[pi]
-			lane := -1
-			defer annotatePanic(&lane, cb, b.SOC.Cores[core].Circuit)
-			if err := fs.RunBatchContext(ctx, core, cb, bs); err != nil {
-				return err
-			}
-			for k, i := range cb.Index {
-				lane = k
-				res := fs.MaterializeBatch(core, bs, k, sc)
-				results[i] = w.diagnose(res.Fault, res.FailingCells, res.Detected(), res.Faulty)
-			}
-			return nil
+	ex := pipeline.Executor{Workers: sw.o.Workers, Retry: sw.o.Retry.Policy()}
+	err := pipeline.RunLanes(ctx, ex, len(plan.Batches), func() pipeline.LaneJob[*sim.BatchScratch] {
+		ls := sw.fork()
+		w := newDiagWorker(sw.o, sw.eng, sw.diag, sw.good, sw.blocks)
+		// The batch scratch is this worker's own kernel output; a worker
+		// that only ever helps with other workers' lanes never needs one.
+		var own *sim.BatchScratch
+		return pipeline.LaneJob[*sim.BatchScratch]{
+			Head: func(pi int) (*sim.BatchScratch, int, error) {
+				if own == nil {
+					own = ls.newBatchScratch(plan)
+				}
+				cb := plan.Batches[pi]
+				if err := ls.runBatch(ctx, cb, own); err != nil {
+					return nil, 0, err
+				}
+				return own, len(cb.Index), nil
+			},
+			Lane: func(bs *sim.BatchScratch, pi, k int) error {
+				cb := plan.Batches[pi]
+				defer annotatePanic(k, cb, sw.c)
+				f, actual, detected, faulty := ls.materialize(bs, k)
+				results[cb.Index[k]] = w.diagnose(f, actual, detected, faulty)
+				return nil
+			},
 		}
 	})
 	return finishStudy(study, results, observe), err
 }
 
-// annotatePanic re-raises a panic unwinding out of a batch job wrapped in
-// a pipeline.JobPanic carrying the batch lane and fault identity, so the
+type circuitLanes struct {
+	fs *sim.FaultSim
+	sc *sim.Scratch
+}
+
+func (l *circuitLanes) newBatchScratch(p *sim.BatchPlan) *sim.BatchScratch {
+	return l.fs.NewBatchScratch(p)
+}
+
+func (l *circuitLanes) runBatch(ctx context.Context, cb *sim.CompiledBatch, bs *sim.BatchScratch) error {
+	return l.fs.RunBatchContext(ctx, cb, bs)
+}
+
+func (l *circuitLanes) materialize(bs *sim.BatchScratch, k int) (sim.Fault, *bitset.Set, bool, []*sim.Response) {
+	res := l.fs.MaterializeBatch(bs, k, l.sc)
+	return res.Fault, res.FailingCells, res.Detected(), res.Faulty
+}
+
+type socLanes struct {
+	fs   *soc.FaultSim
+	core int
+	sc   *soc.Scratch
+}
+
+func (l *socLanes) newBatchScratch(p *sim.BatchPlan) *sim.BatchScratch {
+	return l.fs.NewCoreBatchScratch(l.core, p)
+}
+
+func (l *socLanes) runBatch(ctx context.Context, cb *sim.CompiledBatch, bs *sim.BatchScratch) error {
+	return l.fs.RunBatchContext(ctx, l.core, cb, bs)
+}
+
+func (l *socLanes) materialize(bs *sim.BatchScratch, k int) (sim.Fault, *bitset.Set, bool, []*sim.Response) {
+	res := l.fs.MaterializeBatch(l.core, bs, k, l.sc)
+	return res.Fault, res.FailingCells, res.Detected(), res.Faulty
+}
+
+// annotatePanic re-raises a panic unwinding out of a batch lane wrapped
+// in a pipeline.JobPanic carrying the lane and fault identity, so the
 // executor's WorkerError can report which fault's diagnosis blew up.
-func annotatePanic(lane *int, cb *sim.CompiledBatch, c *circuit.Circuit) {
+func annotatePanic(lane int, cb *sim.CompiledBatch, c *circuit.Circuit) {
 	if r := recover(); r != nil {
 		detail := ""
-		if *lane >= 0 && *lane < len(cb.Faults) {
-			detail = cb.Faults[*lane].Describe(c)
+		if lane >= 0 && lane < len(cb.Faults) {
+			detail = cb.Faults[lane].Describe(c)
 		}
-		panic(&pipeline.JobPanic{Lane: *lane, Detail: detail, Value: r})
+		panic(&pipeline.JobPanic{Lane: lane, Detail: detail, Value: r})
 	}
 }
 

@@ -16,6 +16,7 @@ package diagnosis
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/bist"
 	"repro/internal/bitset"
@@ -46,6 +47,9 @@ type Diagnoser struct {
 	perChain bool
 	// members[t] indexes partition t's cells by verdict slot.
 	members []slotIndex
+	// votes pools the per-cell non-pass counters of CandidatesVoted
+	// (*[]int32, NumCells long, all zero between calls).
+	votes sync.Pool
 }
 
 // slotIndex lists one partition's cells grouped by verdict slot: slot g
@@ -91,6 +95,10 @@ func newDiagnoser(cfg scan.Config, parts [][]partition.Partition, perChain bool)
 		}
 	}
 	d := &Diagnoser{cfg: cfg, parts: parts, perChain: perChain, members: make([]slotIndex, max(k, 0))}
+	d.votes.New = func() any {
+		votes := make([]int32, cfg.NumCells)
+		return &votes
+	}
 	for t := range d.members {
 		d.members[t] = d.indexSlots(t)
 	}

@@ -13,6 +13,12 @@ import (
 // resolution for soundness under a tester whose pass verdicts cannot be
 // trusted individually — a wrong pass must be corroborated by voteK−1
 // further independent partitions before it costs a candidate.
+//
+// Equivalently, a cell survives iff it is non-pass (Fail or Unknown) in
+// at least need = k−voteK+1 of the k partitions. The count is taken over
+// the slot index: only the members of each partition's non-pass slots
+// are visited, which for a diagnosable fault is a small fraction of
+// cells × partitions.
 func (d *Diagnoser) CandidatesVoted(v *bist.Verdicts, k, voteK int) *bitset.Set {
 	if k > len(v.Fail) {
 		k = len(v.Fail)
@@ -21,20 +27,48 @@ func (d *Diagnoser) CandidatesVoted(v *bist.Verdicts, k, voteK int) *bitset.Set 
 		voteK = 1
 	}
 	cand := bitset.New(d.cfg.NumCells)
-	for ci, ch := range d.cfg.Chains {
-		for pos, cell := range ch.Cells {
-			passes := 0
-			for t := 0; t < k; t++ {
-				if v.State(t, d.groupOf(ci, pos, t)) == bist.VerdictPass {
-					passes++
-				}
-			}
-			if passes < voteK {
+	need := int32(k - voteK + 1)
+	if need <= 0 {
+		// Fewer partitions than the threshold: nothing can be pruned.
+		for _, ch := range d.cfg.Chains {
+			for _, cell := range ch.Cells {
 				cand.Add(cell)
 			}
 		}
+		return cand
 	}
+	buf := d.votes.Get().(*[]int32)
+	votes := *buf
+	d.eachNonPass(v, k, func(cell int32) { votes[cell]++ })
+	// The second walk reads the counts and zeroes them again, so the
+	// buffer goes back to the pool clean without an O(cells) clear.
+	d.eachNonPass(v, k, func(cell int32) {
+		if votes[cell] >= need {
+			cand.Add(int(cell))
+		}
+		votes[cell] = 0
+	})
+	d.votes.Put(buf)
 	return cand
+}
+
+// eachNonPass calls fn for every member of every non-pass (Fail or
+// Unknown) slot of the first k partitions, once per partition the cell is
+// non-pass in.
+func (d *Diagnoser) eachNonPass(v *bist.Verdicts, k int, fn func(cell int32)) {
+	for t := 0; t < k; t++ {
+		var unknown []bool
+		if v.Unknown != nil {
+			unknown = v.Unknown[t]
+		}
+		for g, fail := range v.Fail[t] {
+			if fail || (unknown != nil && unknown[g]) {
+				for _, cell := range d.members[t].slot(g) {
+					fn(cell)
+				}
+			}
+		}
+	}
 }
 
 // DiagnoseRobust runs the noise-tolerant flow: vote-threshold candidate

@@ -4,6 +4,14 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/benchgen"
+	"repro/internal/bist"
+	"repro/internal/core"
+	"repro/internal/noise"
+	"repro/internal/partition"
+	"repro/internal/sim"
+	"repro/internal/soc"
 )
 
 func TestNoiseSweepShape(t *testing.T) {
@@ -50,6 +58,72 @@ func TestNoiseSweepShape(t *testing.T) {
 	for _, want := range []string{"Noise sweep", "robust DR", "baseline DR", "s38584"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("formatted sweep missing %q", want)
+		}
+	}
+}
+
+// TestNoiseVoteThresholdsSoundUnderAborts checks the robust diagnosis at
+// every vote threshold the noise sweep uses against a property it does
+// not compute itself: when the tester only aborts sessions (no flips, the
+// fault always active), every verdict it does deliver is correct and an
+// abort can only withhold evidence, so each detected fault's candidate
+// set must still contain every cell the fault really fails. Checked
+// through a circuit sweep and through SOC core sweeps on socmini.
+func TestNoiseVoteThresholdsSoundUnderAborts(t *testing.T) {
+	s, err := soc.Preset("socmini")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[int]bool{}
+	for _, lvl := range noiseLevels {
+		if seen[lvl.vote] {
+			continue
+		}
+		seen[lvl.vote] = true
+		o := core.Options{
+			Scheme:        partition.TwoStep{},
+			Groups:        4,
+			Partitions:    table2Partitions,
+			Patterns:      128,
+			Noise:         noise.Model{Intermittent: 1, Abort: 0.3, Seed: 11},
+			Retry:         bist.RetryPolicy{MaxRetries: 1},
+			VoteThreshold: lvl.vote,
+			Workers:       2,
+		}
+		check := func(what string, fds []*core.FaultDiagnosis, st *core.Study) {
+			t.Helper()
+			if st.Diagnosed == 0 || st.Reliability.Unknown == 0 {
+				t.Fatalf("vote=%d %s: %d diagnosed, %d unknown verdicts; the check exerts no pressure",
+					lvl.vote, what, st.Diagnosed, st.Reliability.Unknown)
+			}
+			for _, fd := range fds {
+				if fd.Detected && !fd.Result.Candidates.SupersetOf(fd.Actual) {
+					t.Errorf("vote=%d %s: candidates %v miss failing cells of %v",
+						lvl.vote, what, fd.Result.Candidates, fd.Actual)
+				}
+			}
+		}
+
+		cb, err := core.NewCircuitBench(benchgen.MustGenerate("s953"), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fds []*core.FaultDiagnosis
+		st := cb.RunObserved(sim.SampleFaults(cb.Faults(), 60, 2), func(fd *core.FaultDiagnosis) { fds = append(fds, fd) })
+		check("s953", fds, st)
+
+		sb, err := core.NewSOCBench(s, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < s.NumCores(); i++ {
+			fds = nil
+			st, err := sb.RunCoreObservedContext(context.Background(), i, sim.SampleFaults(sb.CoreFaults(i), 30, 2),
+				func(fd *core.FaultDiagnosis) { fds = append(fds, fd) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("socmini core "+s.Cores[i].Name, fds, st)
 		}
 	}
 }

@@ -435,7 +435,7 @@ func (c *ArtifactCache) SOC(s *soc.SOC, spec Spec) (*SOCArtifacts, error) {
 		}
 		return buildSOC(s, spec, sa)
 	}
-	fp := SOCFingerprint(s)
+	fp := socFingerprint(s, c.fingerprint)
 	key, simKey := spec.Key(fp), spec.simKey(fp)
 	e := lookup(c, &c.socs, kindSOC, key, &c.stats.Hits, &c.stats.Misses)
 	e.once.Do(func() {

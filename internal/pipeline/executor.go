@@ -59,8 +59,9 @@ type Backend interface {
 type WorkerError struct {
 	// Job is the job index passed to the worker function.
 	Job int
-	// Lane is the batch lane being materialized, or -1 when the job did
-	// not annotate its panic.
+	// Lane is the batch lane being materialized: the RunLanes lane that
+	// panicked, or the lane a JobPanic annotation names; -1 for a panic
+	// outside any lane that the job did not annotate.
 	Lane int
 	// Detail optionally identifies the work unit (e.g. the fault being
 	// diagnosed), as annotated by the job.
@@ -153,6 +154,7 @@ type runState struct {
 	stopped atomic.Bool
 	mu      sync.Mutex
 	errJob  int
+	errLane int
 	err     error
 }
 
@@ -165,15 +167,32 @@ func (rs *runState) halted() bool {
 	return rs.stopped.Load() || rs.ctx.Err() != nil
 }
 
-// record keeps the failure of the lowest job index, so the error a run
-// reports is deterministic under any worker interleaving.
-func (rs *runState) record(job int, err error) {
+// record keeps the failure of the lowest (job, lane) index — lane -1
+// for a failure outside any lane — so the error a run reports is
+// deterministic under any worker interleaving.
+func (rs *runState) record(job, lane int, err error) {
 	rs.mu.Lock()
-	if rs.err == nil || job < rs.errJob {
-		rs.errJob, rs.err = job, err
+	if rs.err == nil || job < rs.errJob || (job == rs.errJob && lane < rs.errLane) {
+		rs.errJob, rs.errLane, rs.err = job, lane, err
 	}
 	rs.mu.Unlock()
 	rs.stop()
+}
+
+// laneHalted reports whether lanes of job should stop being claimed: the
+// context ended, or a job at or below this index failed. A failure in a
+// later job leaves this job's lanes running, so a lower-indexed failure
+// among them is still found and reported, as a serial run would.
+func (rs *runState) laneHalted(job int) bool {
+	if rs.ctx.Err() != nil {
+		return true
+	}
+	if !rs.stopped.Load() {
+		return false
+	}
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	return rs.err != nil && rs.errJob <= job
 }
 
 // RunContext executes jobs 0..n-1 like Run, with three resilience layers:
@@ -221,8 +240,8 @@ func (e Executor) RunContext(ctx context.Context, n int, mkWorker func() func(in
 
 	runRange := func(job func(int) error, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			if err := e.runJob(rs, job, i); err != nil {
-				rs.record(i, err)
+			if err := e.runJob(rs, i, -1, func() error { return job(i) }); err != nil {
+				rs.record(i, -1, err)
 				return
 			}
 		}
@@ -261,28 +280,35 @@ func (e Executor) RunContext(ctx context.Context, n int, mkWorker func() func(in
 		wg.Wait()
 	}
 
+	return rs.result()
+}
+
+// result is the run's outcome once the pool has drained: the recorded
+// failure, else the context's error.
+func (rs *runState) result() error {
 	rs.mu.Lock()
 	err := rs.err
 	rs.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	return ctx.Err()
+	return rs.ctx.Err()
 }
 
-// runJob runs one job with panic isolation and the transient-failure
-// retry policy.
-func (e Executor) runJob(rs *runState, job func(int) error, i int) error {
+// runJob runs one job (lane -1) or one lane of it with panic isolation
+// and the transient-failure retry policy. A panic reports the lane unless
+// the job annotated it with a JobPanic.
+func (e Executor) runJob(rs *runState, i, lane int, fn func() error) error {
 	return retry.Do(rs.ctx, e.Retry, func(int) (err error) {
 		defer func() {
 			if r := recover(); r != nil {
-				we := &WorkerError{Job: i, Lane: -1, Value: r, Stack: debug.Stack()}
+				we := &WorkerError{Job: i, Lane: lane, Value: r, Stack: debug.Stack()}
 				if jp, ok := r.(*JobPanic); ok {
 					we.Lane, we.Detail, we.Value = jp.Lane, jp.Detail, jp.Value
 				}
 				err = we
 			}
 		}()
-		return job(i)
+		return fn()
 	})
 }

@@ -125,10 +125,17 @@ func CircuitFingerprint(c *circuit.Circuit) string {
 // SOCFingerprint hashes an SOC's identity: its name and each core's name
 // and netlist fingerprint in daisy-chain order.
 func SOCFingerprint(s *soc.SOC) string {
+	return socFingerprint(s, CircuitFingerprint)
+}
+
+// socFingerprint is SOCFingerprint with the per-core netlist hash drawn
+// from fp, so the cache can supply its per-pointer memo and hash only the
+// few core lines on a lookup.
+func socFingerprint(s *soc.SOC, fp func(*circuit.Circuit) string) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "soc %s\n", s.Name)
 	for _, c := range s.Cores {
-		fmt.Fprintf(h, "core %s %s\n", c.Name, CircuitFingerprint(c.Circuit))
+		fmt.Fprintf(h, "core %s %s\n", c.Name, fp(c.Circuit))
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -242,8 +242,11 @@ func (c *ArtifactCache) fetchSOCSim(s *soc.SOC, spec Spec, simKey string) (*socS
 	return sa, nil
 }
 
-// fingerprint memoizes CircuitFingerprint per netlist pointer, so plan
-// and cone keys do not rehash the whole structure on every sweep.
+// fingerprint memoizes CircuitFingerprint per netlist pointer, so plan,
+// cone and SOC keys do not rehash the whole structure on every sweep or
+// bench lookup. Netlists are immutable after construction; one mutated
+// later is caught by the DRC's memoized-cone cross-check
+// (drc.RuleConeMismatch), not by re-hashing here.
 func (c *ArtifactCache) fingerprint(ct *circuit.Circuit) string {
 	c.mu.Lock()
 	fp, ok := c.fps[ct]

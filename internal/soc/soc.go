@@ -277,7 +277,12 @@ func (s *SOC) GeneratePatterns(prpg *lfsr.LFSR, nPatterns int) [][]*sim.Block {
 // every other core responds fault-free, and responses are assembled into
 // the global cell space for the BIST engine.
 type FaultSim struct {
-	soc      *SOC
+	soc *SOC
+	// root holds the shared per-core simulators every fork derives from;
+	// sims holds this FaultSim's own. On the FaultSim NewFaultSim built
+	// they are the same slice. A fork starts with nil entries and forks a
+	// core's simulator on first use, since a core sweep touches one core.
+	root     []*sim.FaultSim
 	sims     []*sim.FaultSim
 	patterns [][]*sim.Block
 	good     []*sim.Response // global good responses per block
@@ -294,6 +299,7 @@ func NewFaultSim(s *SOC, patterns [][]*sim.Block) (*FaultSim, error) {
 	for i, c := range s.Cores {
 		fs.sims = append(fs.sims, sim.NewFaultSim(c.Circuit, patterns[i]))
 	}
+	fs.root = fs.sims
 	nBlocks := len(patterns[0])
 	for bi := 0; bi < nBlocks; bi++ {
 		g := &sim.Response{Next: make([]uint64, s.total)}
@@ -312,18 +318,27 @@ func (fs *FaultSim) SOC() *SOC { return fs.soc }
 
 // Fork returns a FaultSim sharing the pattern set and cached fault-free
 // responses (read-only) with per-core scratch simulators of its own, for
-// concurrent fault injection — one Fork per goroutine.
+// concurrent fault injection — one Fork per goroutine. A core's simulator
+// is forked on the fork's first use of that core, so a sweep over one core
+// pays for one core's evaluation scratch, not every core's.
 func (fs *FaultSim) Fork() *FaultSim {
-	forked := &FaultSim{
+	return &FaultSim{
 		soc:      fs.soc,
+		root:     fs.root,
+		sims:     make([]*sim.FaultSim, len(fs.root)),
 		patterns: fs.patterns,
 		good:     fs.good,
 		shape:    fs.shape,
 	}
-	for _, s := range fs.sims {
-		forked.sims = append(forked.sims, s.Fork())
+}
+
+// core returns this FaultSim's simulator of core i, forking it from the
+// shared one on first use.
+func (fs *FaultSim) core(i int) *sim.FaultSim {
+	if fs.sims[i] == nil {
+		fs.sims[i] = fs.root[i].Fork()
 	}
-	return forked
+	return fs.sims[i]
 }
 
 // Good returns the global fault-free responses per block.
@@ -373,24 +388,32 @@ func (fs *FaultSim) Run(core int, f sim.Fault) *Result {
 // overwritten by the next call.
 type Scratch struct {
 	faulty   []*sim.Response
-	cores    []*sim.Scratch
+	cores    []*sim.Scratch // per core, allocated on the core's first use
 	res      Result
 	lastCore int
 }
 
-// NewScratch allocates the reusable buffers for RunInto.
+// NewScratch allocates the reusable buffers for RunInto. A core's
+// simulation scratch is allocated when the Scratch first serves that core.
 func (fs *FaultSim) NewScratch() *Scratch {
-	sc := &Scratch{lastCore: -1}
+	sc := &Scratch{lastCore: -1, cores: make([]*sim.Scratch, len(fs.root))}
 	for bi := range fs.good {
 		r := &sim.Response{Next: make([]uint64, fs.soc.total)}
 		copy(r.Next, fs.good[bi].Next)
 		sc.faulty = append(sc.faulty, r)
 	}
-	for _, s := range fs.sims {
-		sc.cores = append(sc.cores, s.NewScratch())
-	}
 	sc.res.FailingCells = bitset.New(fs.soc.total)
 	return sc
+}
+
+// coreScratch returns sc's simulation scratch for core i, allocating it on
+// first use. The scratch only reads the core's shared fault-free layer, so
+// it is built from the shared simulator without forcing a fork.
+func (fs *FaultSim) coreScratch(sc *Scratch, i int) *sim.Scratch {
+	if sc.cores[i] == nil {
+		sc.cores[i] = fs.root[i].NewScratch()
+	}
+	return sc.cores[i]
 }
 
 // RunInto is the pooled equivalent of Run: it reuses the Scratch's global
@@ -398,7 +421,7 @@ func (fs *FaultSim) NewScratch() *Scratch {
 // of the previously faulty core needs restoring to fault-free values
 // before the new core's captured values are spliced in.
 func (fs *FaultSim) RunInto(core int, f sim.Fault, sc *Scratch) *Result {
-	return fs.spliceLocal(core, fs.sims[core].RunInto(f, sc.cores[core]), sc)
+	return fs.spliceLocal(core, fs.core(core).RunInto(f, fs.coreScratch(sc, core)), sc)
 }
 
 // spliceLocal assembles a core-local simulation result into the scratch's
@@ -436,27 +459,29 @@ func (fs *FaultSim) PlanCoreBatches(core int, faults []sim.Fault, opt sim.BatchO
 // NewCoreBatchScratch allocates the batch evaluation scratch for one
 // worker's sweeps over core i's plan.
 func (fs *FaultSim) NewCoreBatchScratch(core int, p *sim.BatchPlan) *sim.BatchScratch {
-	return fs.sims[core].NewBatchScratch(p)
+	return fs.root[core].NewBatchScratch(p)
 }
 
 // RunBatch evaluates one compiled batch of core i's plan; members are read
 // back with MaterializeBatch.
 func (fs *FaultSim) RunBatch(core int, cb *sim.CompiledBatch, bs *sim.BatchScratch) {
-	fs.sims[core].RunBatch(cb, bs)
+	fs.core(core).RunBatch(cb, bs)
 }
 
 // RunBatchContext is RunBatch with cancellation, delegating to the core
 // simulator's block-granular context checks; see sim.RunBatchContext for
 // the scratch-reuse guarantee after an aborted run.
 func (fs *FaultSim) RunBatchContext(ctx context.Context, core int, cb *sim.CompiledBatch, bs *sim.BatchScratch) error {
-	return fs.sims[core].RunBatchContext(ctx, cb, bs)
+	return fs.core(core).RunBatchContext(ctx, cb, bs)
 }
 
 // MaterializeBatch assembles member k of the last RunBatch into the global
 // cell space, exactly as RunInto would have produced for that fault alone.
-// The Result aliases the Scratch, like RunInto's.
+// The Result aliases the Scratch, like RunInto's. bs may come from another
+// worker's fork: materialization reads only bs and writes only sc, so it
+// runs on the shared core simulator and never forces a fork of its own.
 func (fs *FaultSim) MaterializeBatch(core int, bs *sim.BatchScratch, k int, sc *Scratch) *Result {
-	return fs.spliceLocal(core, fs.sims[core].MaterializeBatch(bs, k, sc.cores[core]), sc)
+	return fs.spliceLocal(core, fs.root[core].MaterializeBatch(bs, k, fs.coreScratch(sc, core)), sc)
 }
 
 // RunMulti injects one fault into each of several cores simultaneously —
@@ -482,7 +507,7 @@ func (fs *FaultSim) RunMulti(coreFaults map[int]sim.Fault) *Result {
 		if out.Core < 0 {
 			out.Core, out.Fault = core, f
 		}
-		res := fs.sims[core].Run(f)
+		res := fs.core(core).Run(f)
 		lo, _ := fs.soc.CellRange(core)
 		for _, cell := range res.FailingCells.Elems() {
 			out.FailingCells.Add(lo + cell)

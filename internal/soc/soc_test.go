@@ -544,3 +544,60 @@ func TestBatchEquivalenceMetaChain(t *testing.T) {
 		t.Fatalf("interleaved sweeps covered %d of %d faults", covered, want)
 	}
 }
+
+// TestForkLazyPerCore pins the lazy fork: a fork forks a core's
+// simulator on first use only, CoreSims still hands out one simulator
+// per core (the fork's own, not the shared ones), and MemoryFootprint of
+// the root keeps counting every core's shared layer plus the global
+// responses — a fork reports the same shared footprint.
+func TestForkLazyPerCore(t *testing.T) {
+	s := smallSOC(t)
+	patterns := s.GeneratePatterns(lfsr.MustNew(lfsr.MustPrimitivePoly(16), 0xACE1), 100)
+	fs, err := NewFaultSim(s, patterns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want int64
+	for _, cs := range fs.CoreSims() {
+		want += cs.MemoryFootprint()
+	}
+	for _, g := range fs.Good() {
+		want += int64(len(g.Next)+len(g.PO)) * 8
+	}
+	// 16672 is the footprint the eager fork's FaultSim reported for this
+	// SOC and pattern set.
+	if got := fs.MemoryFootprint(); got != want || got != 16672 {
+		t.Fatalf("root MemoryFootprint %d, want %d (pinned 16672)", got, want)
+	}
+
+	fork := fs.Fork()
+	f := fs.CoreFaults(1)[3]
+	if got, ref := fork.Run(1, f), fs.Run(1, f); !got.FailingCells.Equal(ref.FailingCells) {
+		t.Fatal("lazy fork diagnosed a different failing-cell set")
+	}
+	for i, cs := range fork.sims {
+		if forked := cs != nil; forked != (i == 1) {
+			t.Errorf("core %d forked=%t after a sweep of core 1 only", i, forked)
+		}
+	}
+	if got := fork.MemoryFootprint(); got != want {
+		t.Errorf("fork MemoryFootprint %d, want the root's %d", got, want)
+	}
+
+	sims := fork.CoreSims()
+	if len(sims) != s.NumCores() {
+		t.Fatalf("CoreSims returned %d simulators for %d cores", len(sims), s.NumCores())
+	}
+	for i, cs := range sims {
+		if cs == nil || cs == fs.CoreSims()[i] {
+			t.Errorf("core %d: fork's CoreSims entry is not its own fork", i)
+			continue
+		}
+		if cs.Circuit() != s.Cores[i].Circuit {
+			t.Errorf("core %d: simulator for %s", i, cs.Circuit().Name)
+		}
+	}
+	if got := fork.CoreSims()[1]; got != sims[1] {
+		t.Error("CoreSims re-forked a core the fork already owned")
+	}
+}

@@ -7,9 +7,15 @@ import (
 )
 
 // CoreSims returns the per-core fault simulators, in daisy-chain order.
-// The simulators are the FaultSim's own; callers must treat them as
-// read-only (fork before injecting faults concurrently).
-func (fs *FaultSim) CoreSims() []*sim.FaultSim { return fs.sims }
+// The simulators are the FaultSim's own (on a fork, any core not yet used
+// is forked now); callers must treat them as read-only (fork before
+// injecting faults concurrently).
+func (fs *FaultSim) CoreSims() []*sim.FaultSim {
+	for i := range fs.sims {
+		fs.core(i)
+	}
+	return fs.sims
+}
 
 // NewFaultSimFromCores assembles an SOC-scope FaultSim from per-core
 // simulators that already carry their fault-free layers (typically decoded
@@ -22,7 +28,7 @@ func NewFaultSimFromCores(s *SOC, sims []*sim.FaultSim) (*FaultSim, error) {
 	if len(sims) != len(s.Cores) {
 		return nil, fmt.Errorf("soc %s: %d core simulators for %d cores", s.Name, len(sims), len(s.Cores))
 	}
-	fs := &FaultSim{soc: s, sims: sims}
+	fs := &FaultSim{soc: s, root: sims, sims: sims}
 	nBlocks := -1
 	for i, c := range s.Cores {
 		if sims[i].Circuit() != c.Circuit {
