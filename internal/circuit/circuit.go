@@ -36,13 +36,17 @@ type Circuit struct {
 	Outputs []NetID // primary outputs in declaration order
 	DFFs    []NetID // flip-flop output nets in declaration order
 
-	byName  map[string]NetID
-	topo    []NetID // combinational gates in evaluation order
-	fanout  [][]NetID
-	dffIdx  map[NetID]int // DFF output net -> position in DFFs
-	levelOf []int32       // per-net level; inputs and DFF outputs are level 0
-	cones   []atomic.Pointer[Cone]
-	walks   sync.Pool // of *coneWalk
+	topo []NetID // combinational gates in evaluation order
+	// Fan-out of net id is fanoutArena[fanoutOff[id]:fanoutOff[id+1]].
+	fanoutOff   []int32
+	fanoutArena []NetID
+	dffIdx      []int32 // per net: 1 + position in DFFs, 0 for other nets
+	levelOf     []int32 // per-net level; inputs and DFF outputs are level 0
+	cones       []atomic.Pointer[Cone]
+	walks       sync.Pool // of *coneWalk
+
+	nameOnce sync.Once
+	byName   map[string]NetID // built on the first NetByName
 }
 
 // Raw assembles a Circuit directly from its structural fields, bypassing
@@ -62,17 +66,8 @@ func Raw(name string, nets []Net, inputs, outputs, dffs []NetID) *Circuit {
 		Inputs:  inputs,
 		Outputs: outputs,
 		DFFs:    dffs,
-		byName:  make(map[string]NetID, len(nets)),
-		dffIdx:  make(map[NetID]int, len(dffs)),
 	}
-	for id := range nets {
-		c.byName[nets[id].Name] = NetID(id)
-	}
-	for i, id := range dffs {
-		if id >= 0 && int(id) < len(nets) {
-			c.dffIdx[id] = i
-		}
-	}
+	c.indexDFFs()
 	for id := range nets {
 		for _, f := range nets[id].Fanin {
 			if f < 0 || int(f) >= len(nets) {
@@ -81,7 +76,7 @@ func Raw(name string, nets []Net, inputs, outputs, dffs []NetID) *Circuit {
 		}
 	}
 	if err := c.finish(); err != nil {
-		c.topo, c.fanout, c.levelOf, c.cones = nil, nil, nil, nil
+		c.topo, c.fanoutOff, c.fanoutArena, c.levelOf, c.cones = nil, nil, nil, nil, nil
 	}
 	return c
 }
@@ -109,8 +104,17 @@ func (c *Circuit) NumOutputs() int { return len(c.Outputs) }
 // NumDFFs returns the number of flip-flops.
 func (c *Circuit) NumDFFs() int { return len(c.DFFs) }
 
-// NetByName resolves a net name; ok is false when it does not exist.
+// NetByName resolves a net name; ok is false when it does not exist. The
+// name index is built on the first call, so circuits that are never
+// searched by name do not pay for it. When names repeat (possible only in
+// a Raw circuit) the highest NetID wins.
 func (c *Circuit) NetByName(name string) (NetID, bool) {
+	c.nameOnce.Do(func() {
+		c.byName = make(map[string]NetID, len(c.Nets))
+		for id := range c.Nets {
+			c.byName[c.Nets[id].Name] = NetID(id)
+		}
+	})
 	id, ok := c.byName[name]
 	return id, ok
 }
@@ -137,15 +141,18 @@ func (c *Circuit) Depth() int {
 
 // Fanout returns the nets directly driven by id. The slice is shared;
 // callers must not modify it.
-func (c *Circuit) Fanout(id NetID) []NetID { return c.fanout[id] }
+func (c *Circuit) Fanout(id NetID) []NetID {
+	lo, hi := c.fanoutOff[id], c.fanoutOff[id+1]
+	return c.fanoutArena[lo:hi:hi]
+}
 
 // DFFIndex returns the scan-order index of a flip-flop output net, or -1 if
-// the net is not a flip-flop output.
+// the net is not a flip-flop output or id is not a net of the circuit.
 func (c *Circuit) DFFIndex(id NetID) int {
-	if i, ok := c.dffIdx[id]; ok {
-		return i
+	if id < 0 || int(id) >= len(c.dffIdx) {
+		return -1
 	}
-	return -1
+	return int(c.dffIdx[id]) - 1
 }
 
 // FanoutCone returns every net reachable from start (inclusive) by
@@ -248,7 +255,7 @@ func (c *Circuit) fanoutWalk(w *coneWalk, start NetID) []NetID {
 		if c.Nets[id].Op == logic.OpDFF && id != start {
 			continue // error is captured; do not cross the register
 		}
-		for _, succ := range c.fanout[id] {
+		for _, succ := range c.Fanout(id) {
 			if !w.visited(succ) {
 				w.mark[succ] = w.epoch
 				w.stack = append(w.stack, succ)

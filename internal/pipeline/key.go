@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 
 	"repro/internal/bist"
 	"repro/internal/circuit"
@@ -97,28 +98,45 @@ func hashOrder(order []int) string {
 // CircuitFingerprint hashes a netlist's full structure — name, gate
 // operations, and connectivity — so caches keyed on it never confuse
 // distinct netlists, while structurally identical rebuilds share a key.
+//
+// The hashed stream is "circuit <name>\n", then per net its name, a
+// space, its op in decimal and its fan-in NetIDs as 64-bit little-endian
+// words, then '\n'; then the input, output and flip-flop lists, each as a
+// word count followed by its NetID words. It is assembled in a reused
+// buffer and flushed to the hash in chunks.
 func CircuitFingerprint(c *circuit.Circuit) string {
+	const chunk = 16 << 10
 	h := sha256.New()
-	var buf [8]byte
-	word := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
+	buf := make([]byte, 0, chunk+512)
+	flush := func() {
+		if len(buf) >= chunk {
+			h.Write(buf)
+			buf = buf[:0]
+		}
 	}
-	fmt.Fprintf(h, "circuit %s\n", c.Name)
+	buf = append(buf, "circuit "...)
+	buf = append(buf, c.Name...)
+	buf = append(buf, '\n')
 	for i := range c.Nets {
 		n := &c.Nets[i]
-		fmt.Fprintf(h, "%s %d", n.Name, n.Op)
+		buf = append(buf, n.Name...)
+		buf = append(buf, ' ')
+		buf = strconv.AppendUint(buf, uint64(n.Op), 10)
 		for _, f := range n.Fanin {
-			word(uint64(f))
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(f))
+			flush()
 		}
-		h.Write([]byte{'\n'})
+		buf = append(buf, '\n')
+		flush()
 	}
 	for _, ids := range [][]circuit.NetID{c.Inputs, c.Outputs, c.DFFs} {
-		word(uint64(len(ids)))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(ids)))
 		for _, id := range ids {
-			word(uint64(id))
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(id))
+			flush()
 		}
 	}
+	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
