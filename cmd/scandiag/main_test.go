@@ -37,6 +37,8 @@ func TestGolden(t *testing.T) {
 		{Name: "lanes", Args: []string{"-lanes", "999"}, Exit: 2},
 		{Name: "order", Args: []string{"-order", "bogus"}, Exit: 2},
 		{Name: "noise", Args: []string{"-intermittent", "2"}, Exit: 2},
+		{Name: "flip-nan", Args: []string{"-circuit", "s298", "-flip", "NaN", "-abort", "0.02"}, Exit: 2, Stderr: `^scandiag: noise: flip probability NaN outside \[0, 1\]`},
+		{Name: "intermittent-nan", Args: []string{"-intermittent", "NaN"}, Exit: 2, Stderr: `^scandiag: noise: intermittent probability NaN outside \[0, 1\]`},
 		{Name: "shards", Args: []string{"-faults", "200", "-shards", "-5"}, Exit: 2, Stderr: `^scandiag: -shards must be non-negative`},
 		{Name: "unknown-flag", Args: []string{"-nosuchflag"}, Exit: 2},
 		{Name: "unknown-scheme", Args: []string{"-scheme", "bogus"}, Exit: 2, Stderr: `^scandiag: unknown scheme "bogus"`},

@@ -47,15 +47,17 @@ func (m Model) Enabled() bool {
 	return m.ActivationProb() < 1 || m.Flip > 0 || m.Abort > 0
 }
 
-// Validate checks that every probability is a probability.
+// Validate checks that every probability is a probability. NaN is not:
+// it fails every comparison, so a NaN coin threshold would silently never
+// fire.
 func (m Model) Validate() error {
-	if p := m.Intermittent; p < 0 || p > 1 {
+	if p := m.Intermittent; !(p >= 0 && p <= 1) {
 		return fmt.Errorf("noise: intermittent probability %v outside [0, 1]", p)
 	}
-	if m.Flip < 0 || m.Flip > 1 {
+	if !(m.Flip >= 0 && m.Flip <= 1) {
 		return fmt.Errorf("noise: flip probability %v outside [0, 1]", m.Flip)
 	}
-	if m.Abort < 0 || m.Abort > 1 {
+	if !(m.Abort >= 0 && m.Abort <= 1) {
 		return fmt.Errorf("noise: abort probability %v outside [0, 1]", m.Abort)
 	}
 	return nil
@@ -119,14 +121,71 @@ func (m Model) Corrupt(t, slot, attempt int) uint64 {
 	return v
 }
 
-// coin maps a hash of the ids to [0, 1).
-func coin(ids ...uint64) float64 {
-	return float64(hash(ids...)>>11) * (1.0 / (1 << 53))
+// Session is the coin source of one session (t, slot). Every coin hashes
+// (seed, tag, t, slot, attempt[, pat]), and hash is a left fold of mix, so
+// the (seed, tag, t, slot) prefix of each stream is folded once here; an
+// execution's abort, flip and corrupt coins then cost one mix each, and an
+// activation coin one mix over its attempt's prefix. Every coin equals the
+// matching Model method bit for bit.
+type Session struct {
+	m                            Model
+	active, flip, abort, corrupt uint64 // stream prefixes
 }
 
-// hash folds the ids into one well-mixed 64-bit value.
+// Session folds the coin prefixes of session (t, slot).
+func (m Model) Session(t, slot int) Session {
+	seed := mix(hashInit, m.Seed)
+	prefix := func(tag uint64) uint64 {
+		return mix(mix(mix(seed, tag), uint64(t)), uint64(slot))
+	}
+	return Session{m: m, active: prefix(tagActive), flip: prefix(tagFlip), abort: prefix(tagAbort), corrupt: prefix(tagCorrupt)}
+}
+
+// Aborts is Model.Aborts(t, slot, attempt).
+func (s *Session) Aborts(attempt int) bool {
+	return s.m.Abort > 0 && unit(mix(s.abort, uint64(attempt))) < s.m.Abort
+}
+
+// Flips is Model.Flips(t, slot, attempt).
+func (s *Session) Flips(attempt int) bool {
+	return s.m.Flip > 0 && unit(mix(s.flip, uint64(attempt))) < s.m.Flip
+}
+
+// Corrupt is Model.Corrupt(t, slot, attempt).
+func (s *Session) Corrupt(attempt int) uint64 {
+	if v := mix(s.corrupt, uint64(attempt)); v != 0 {
+		return v
+	}
+	return 1
+}
+
+// Attempt folds the activation prefix of one execution, for ActiveAt.
+func (s *Session) Attempt(attempt int) uint64 { return mix(s.active, uint64(attempt)) }
+
+// ActiveAt is Model.ActiveAt(t, slot, attempt, pat) for the attempt
+// whose prefix Attempt returned.
+func (s *Session) ActiveAt(attempt uint64, pat int) bool {
+	p := s.m.ActivationProb()
+	return p >= 1 || unit(mix(attempt, uint64(pat))) < p
+}
+
+// coin maps a hash of the ids to [0, 1).
+func coin(ids ...uint64) float64 {
+	return unit(hash(ids...))
+}
+
+// unit maps a hash to [0, 1) by its top 53 bits.
+func unit(h uint64) float64 {
+	return float64(h>>11) * (1.0 / (1 << 53))
+}
+
+// hashInit is the fold state hash starts from.
+const hashInit uint64 = 0x9E3779B97F4A7C15
+
+// hash folds the ids into one well-mixed 64-bit value. It is a left fold
+// of mix, so a shared prefix of ids can be folded once (see Session).
 func hash(ids ...uint64) uint64 {
-	h := uint64(0x9E3779B97F4A7C15)
+	h := hashInit
 	for _, id := range ids {
 		h = mix(h, id)
 	}

@@ -2,6 +2,7 @@ package noise
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -23,6 +24,9 @@ func TestValidate(t *testing.T) {
 		{Flip: 2},
 		{Abort: -0.5},
 		{Abort: 1.5},
+		{Intermittent: math.NaN()},
+		{Flip: math.NaN()},
+		{Abort: math.NaN()},
 	}
 	for _, m := range bad {
 		if err := m.Validate(); err == nil {
@@ -141,4 +145,61 @@ func TestDeterministicEdges(t *testing.T) {
 			t.Fatal("corrupted signature must differ from golden (nonzero error signature)")
 		}
 	}
+}
+
+// checkSessionCoins compares every coin of m.Session(t, slot) with the
+// Model method it stands for, at the given attempt and pattern.
+func checkSessionCoins(t *testing.T, m Model, ts, slot, attempt, pat int) {
+	t.Helper()
+	s := m.Session(ts, slot)
+	if got, want := s.Aborts(attempt), m.Aborts(ts, slot, attempt); got != want {
+		t.Fatalf("%+v (%d, %d, %d): Session.Aborts %v, Model.Aborts %v", m, ts, slot, attempt, got, want)
+	}
+	if got, want := s.Flips(attempt), m.Flips(ts, slot, attempt); got != want {
+		t.Fatalf("%+v (%d, %d, %d): Session.Flips %v, Model.Flips %v", m, ts, slot, attempt, got, want)
+	}
+	if got, want := s.Corrupt(attempt), m.Corrupt(ts, slot, attempt); got != want {
+		t.Fatalf("%+v (%d, %d, %d): Session.Corrupt %#x, Model.Corrupt %#x", m, ts, slot, attempt, got, want)
+	}
+	if got, want := s.ActiveAt(s.Attempt(attempt), pat), m.ActiveAt(ts, slot, attempt, pat); got != want {
+		t.Fatalf("%+v (%d, %d, %d, %d): Session.ActiveAt %v, Model.ActiveAt %v", m, ts, slot, attempt, pat, got, want)
+	}
+}
+
+// TestSessionCoinsMatchModel: the prefix-folded Session coins equal the
+// Model coins at probabilities 0, 1, Intermittent 0 and in between, over
+// random coordinates and seeds.
+func TestSessionCoinsMatchModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	probs := []float64{0, 1, 0.02, 0.3, 0.5, 0.97}
+	for i := 0; i < 4000; i++ {
+		m := Model{
+			Intermittent: probs[rng.Intn(len(probs))],
+			Flip:         probs[rng.Intn(len(probs))],
+			Abort:        probs[rng.Intn(len(probs))],
+			Seed:         rng.Uint64(),
+		}
+		if i%7 == 0 {
+			m = m.Fork(rng.Uint64(), rng.Uint64())
+		}
+		checkSessionCoins(t, m, rng.Intn(64), rng.Intn(1<<12), rng.Intn(16), rng.Intn(1<<16))
+	}
+	// Coordinates at the edges of the int range hash as their uint64
+	// conversion, like the Model methods.
+	m := Model{Intermittent: 0.5, Flip: 0.5, Abort: 0.5, Seed: 3}
+	for _, x := range []int{0, 1, -1, math.MaxInt, math.MinInt} {
+		checkSessionCoins(t, m, x, x, x, x)
+	}
+}
+
+// FuzzSessionCoins checks every Session coin against the Model method at
+// fuzzed probabilities, seed and coordinates.
+func FuzzSessionCoins(f *testing.F) {
+	f.Add(0.0, 0.0, 0.0, uint64(0), 0, 0, 0, 0)
+	f.Add(1.0, 1.0, 1.0, uint64(1), 1, 2, 3, 4)
+	f.Add(0.5, 0.02, 0.02, uint64(0x5eed), 7, 31, 4, 127)
+	f.Add(0.3, 0.0, 0.1, uint64(42), -1, 1<<20, 8, -5)
+	f.Fuzz(func(t *testing.T, q, flip, abort float64, seed uint64, ts, slot, attempt, pat int) {
+		checkSessionCoins(t, Model{Intermittent: q, Flip: flip, Abort: abort, Seed: seed}, ts, slot, attempt, pat)
+	})
 }
