@@ -3,6 +3,7 @@ package bist
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"repro/internal/lfsr"
 	"repro/internal/partition"
@@ -171,6 +172,8 @@ type Engine struct {
 	clocks  int                     // shift clocks per session (patterns × shiftsL)
 	xp      []uint64                // xp[e] = x^e mod MISRPoly
 	vgroups int                     // verdict slots per partition
+	// arenas pools the *contribs of sessionContribs.
+	arenas sync.Pool
 }
 
 // PerChainVerdicts reports whether verdicts are per (chain, group) rather
@@ -255,15 +258,19 @@ func (e *Engine) ChainPartitions(chain int) []partition.Partition { return e.par
 // NewVerdicts allocates a Verdicts shaped for this engine's plan, for
 // reuse across a fault loop via VerdictsInto.
 func (e *Engine) NewVerdicts() *Verdicts {
-	v := &Verdicts{
-		Fail:   make([][]bool, e.plan.Partitions),
-		ErrSig: make([][]uint64, e.plan.Partitions),
+	return &Verdicts{
+		Fail:   rows(make([]bool, e.plan.Partitions*e.vgroups), e.vgroups),
+		ErrSig: rows(make([]uint64, e.plan.Partitions*e.vgroups), e.vgroups),
 	}
-	for t := range v.Fail {
-		v.Fail[t] = make([]bool, e.vgroups)
-		v.ErrSig[t] = make([]uint64, e.vgroups)
+}
+
+// rows cuts flat into rows of n entries, each capped at its own end.
+func rows[T any](flat []T, n int) [][]T {
+	r := make([][]T, len(flat)/n)
+	for i := range r {
+		r[i] = flat[i*n : (i+1)*n : (i+1)*n]
 	}
-	return v
+	return r
 }
 
 // Verdicts derives all session verdicts for a fault from its good and

@@ -3,6 +3,7 @@ package bist
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/noise"
 	"repro/internal/sim"
@@ -90,12 +91,26 @@ func (r *Reliability) String() string {
 		r.Sessions, r.Executions, r.Retried(), r.Aborted, r.Unknown, r.EstimatedFlipRate())
 }
 
-// patContrib is the signature contribution of one error bit: the pattern
-// it occurs on (whose activation coin gates it) and its syndrome.
-type patContrib struct {
-	pat int
-	syn uint64
+// errBit is one error bit of a fault's responses: the pattern it occurs
+// on (whose activation coin gates it), the cell that captures it, and its
+// syndrome, the bit's contribution to every error signature it enters.
+type errBit struct {
+	pat, cell int32
+	syn       uint64
 }
+
+// contribs lists every error bit of a fault once, and every session's
+// error bits as indices into that list, all sessions in one arena:
+// session s = t×VerdictGroups()+slot holds at[start[s]:start[s+1]], in the
+// order the walk over the responses meets its error bits.
+type contribs struct {
+	bits  []errBit
+	start []int32
+	at    []int32
+}
+
+// session returns the indices into bits of session s's error bits.
+func (c *contribs) session(s int) []int32 { return c.at[c.start[s]:c.start[s+1]] }
 
 // NoisyVerdicts derives tri-state session verdicts for a fault under an
 // unreliable tester. The deterministic error stream of Verdicts is the
@@ -107,17 +122,10 @@ type patContrib struct {
 //
 // Reliability reports the session budget spent and the noise absorbed.
 func (e *Engine) NoisyVerdicts(good, faulty []*sim.Response, blocks []*sim.Block, m noise.Model, rp RetryPolicy) (*Verdicts, *Reliability) {
-	contrib := e.sessionContribs(good, faulty, blocks)
-	v := &Verdicts{
-		Fail:    make([][]bool, e.plan.Partitions),
-		ErrSig:  make([][]uint64, e.plan.Partitions),
-		Unknown: make([][]bool, e.plan.Partitions),
-	}
-	for t := range v.Fail {
-		v.Fail[t] = make([]bool, e.vgroups)
-		v.ErrSig[t] = make([]uint64, e.vgroups)
-		v.Unknown[t] = make([]bool, e.vgroups)
-	}
+	c := e.sessionContribs(good, faulty, blocks)
+	defer e.arenas.Put(c)
+	v := e.NewVerdicts()
+	v.Unknown = rows(make([]bool, e.plan.Partitions*e.vgroups), e.vgroups)
 	rel := &Reliability{Sessions: e.plan.Partitions * e.vgroups}
 	runs := rp.Runs()
 	type exec struct {
@@ -127,29 +135,34 @@ func (e *Engine) NoisyVerdicts(good, faulty []*sim.Response, blocks []*sim.Block
 	execs := make([]exec, 0, runs)
 	for t := 0; t < e.plan.Partitions; t++ {
 		for slot := 0; slot < e.vgroups; slot++ {
+			coins := m.Session(t, slot)
+			contrib := c.session(t*e.vgroups + slot)
 			execs = execs[:0]
 			for a := 0; a < runs; a++ {
 				rel.Executions++
-				if m.Aborts(t, slot, a) {
+				if coins.Aborts(a) {
 					rel.Aborted++
 					continue
 				}
 				var sig uint64
 				active := false
-				for _, en := range contrib[t][slot] {
-					if m.ActiveAt(t, slot, a, en.pat) {
-						sig ^= en.syn
-						active = true
+				if len(contrib) > 0 {
+					attempt := coins.Attempt(a)
+					for _, i := range contrib {
+						if b := &c.bits[i]; coins.ActiveAt(attempt, int(b.pat)) {
+							sig ^= b.syn
+							active = true
+						}
 					}
 				}
 				fail := sig != 0
 				if e.plan.Ideal {
 					fail = active
 				}
-				if m.Flips(t, slot, a) {
+				if coins.Flips(a) {
 					fail = !fail
 					if fail {
-						sig = m.Corrupt(t, slot, a)
+						sig = coins.Corrupt(a)
 					} else {
 						sig = 0
 					}
@@ -198,15 +211,19 @@ func (e *Engine) NoisyVerdicts(good, faulty []*sim.Response, blocks []*sim.Block
 	return v, rel
 }
 
-// sessionContribs gathers, per (partition, verdict slot), the signature
-// contribution of every error bit together with the pattern it occurs on —
-// the sparse substrate NoisyVerdicts replays once per session execution
-// under fresh activation coins.
-func (e *Engine) sessionContribs(good, faulty []*sim.Response, blocks []*sim.Block) [][][]patContrib {
-	contrib := make([][][]patContrib, e.plan.Partitions)
-	for t := range contrib {
-		contrib[t] = make([][]patContrib, e.vgroups)
+// sessionContribs gathers, per session, the error bits it captures, each
+// with the pattern it occurs on and its syndrome — the sparse substrate
+// NoisyVerdicts replays once per session execution under fresh activation
+// coins. One walk over the responses lists the error bits and counts
+// each bit's session in every partition; a counting sort then fills the
+// arena. The result comes from e.arenas; the caller puts it back.
+func (e *Engine) sessionContribs(good, faulty []*sim.Response, blocks []*sim.Block) *contribs {
+	c, _ := e.arenas.Get().(*contribs)
+	if c == nil {
+		c = new(contribs)
 	}
+	c.bits = c.bits[:0]
+	c.start = append(c.start[:0], make([]int32, e.plan.Partitions*e.vgroups+1)...)
 	totalClocks := 0
 	for _, b := range blocks {
 		totalClocks += b.N * e.shiftsL
@@ -228,14 +245,34 @@ func (e *Engine) sessionContribs(good, faulty []*sim.Response, blocks []*sim.Blo
 			for d := diff; d != 0; d &= d - 1 {
 				p := patternBase + bits.TrailingZeros64(d)
 				tau := p*e.shiftsL + pos
-				syn := e.xp[totalClocks-1-tau+chain]
-				for t := 0; t < e.plan.Partitions; t++ {
-					slot := e.verdictIndex(chain, e.parts[chain][t].GroupOf[pos])
-					contrib[t][slot] = append(contrib[t][slot], patContrib{pat: p, syn: syn})
+				c.bits = append(c.bits, errBit{pat: int32(p), cell: int32(cell), syn: e.xp[totalClocks-1-tau+chain]})
+				for t := range e.parts[chain] {
+					c.start[e.session(chain, pos, t)]++
 				}
 			}
 		}
 		patternBase += b.N
 	}
-	return contrib
+	for s := 1; s < len(c.start); s++ {
+		c.start[s] += c.start[s-1]
+	}
+	// start[s] is now the end of session s; filling back to front moves it
+	// down to the session's start and keeps each session in walk order.
+	n := c.start[len(c.start)-1]
+	c.at = slices.Grow(c.at[:0], int(n))[:n]
+	for i := len(c.bits) - 1; i >= 0; i-- {
+		chain, pos := e.chainOf[c.bits[i].cell], e.posOf[c.bits[i].cell]
+		for t := range e.parts[chain] {
+			s := e.session(chain, pos, t)
+			c.start[s]--
+			c.at[c.start[s]] = int32(i)
+		}
+	}
+	return c
+}
+
+// session returns the session (t×VerdictGroups()+slot) that observes
+// position pos of a chain in partition t.
+func (e *Engine) session(chain, pos, t int) int {
+	return t*e.vgroups + e.verdictIndex(chain, e.parts[chain][t].GroupOf[pos])
 }

@@ -37,7 +37,8 @@ func (rp RetryPolicy) Policy() retry.Policy {
 // grouped partition-major so a deadline can land between sessions the
 // way it would on a real tester.
 func (e *Engine) VerdictsUpTo(ctx context.Context, good, faulty []*sim.Response, blocks []*sim.Block, v *Verdicts) (int, error) {
-	contrib := e.sessionContribs(good, faulty, blocks)
+	c := e.sessionContribs(good, faulty, blocks)
+	defer e.arenas.Put(c)
 	for t := range v.Fail {
 		for i := range v.Fail[t] {
 			v.Fail[t][i] = false
@@ -52,8 +53,8 @@ func (e *Engine) VerdictsUpTo(ctx context.Context, good, faulty []*sim.Response,
 		for slot := 0; slot < e.vgroups; slot++ {
 			var sig uint64
 			active := false
-			for _, en := range contrib[t][slot] {
-				sig ^= en.syn
+			for _, i := range c.session(t*e.vgroups + slot) {
+				sig ^= c.bits[i].syn
 				active = true
 			}
 			if e.plan.Ideal {
