@@ -16,6 +16,7 @@ package diagnosis
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/bist"
@@ -47,10 +48,17 @@ type Diagnoser struct {
 	perChain bool
 	// members[t] indexes partition t's cells by verdict slot.
 	members []slotIndex
+	// loc[cell] is the cell's chain and position, for slotOf.
+	loc []cellLoc
 	// votes pools the per-cell non-pass counters of CandidatesVoted
 	// (*[]int32, NumCells long, all zero between calls).
 	votes sync.Pool
+	// scratch pools prune's *pruneScratch.
+	scratch sync.Pool
 }
+
+// cellLoc is a cell's place in the scan configuration.
+type cellLoc struct{ chain, pos int32 }
 
 // slotIndex lists one partition's cells grouped by verdict slot: slot g
 // holds cells[start[g]:start[g+1]], in scan order (chain, then position).
@@ -94,10 +102,19 @@ func newDiagnoser(cfg scan.Config, parts [][]partition.Partition, perChain bool)
 			}
 		}
 	}
-	d := &Diagnoser{cfg: cfg, parts: parts, perChain: perChain, members: make([]slotIndex, max(k, 0))}
+	d := &Diagnoser{cfg: cfg, parts: parts, perChain: perChain, members: make([]slotIndex, max(k, 0)),
+		loc: make([]cellLoc, cfg.NumCells)}
+	for ci, ch := range cfg.Chains {
+		for pos, cell := range ch.Cells {
+			d.loc[cell] = cellLoc{int32(ci), int32(pos)}
+		}
+	}
 	d.votes.New = func() any {
 		votes := make([]int32, cfg.NumCells)
 		return &votes
+	}
+	d.scratch.New = func() any {
+		return &pruneScratch{syndrome: make([]uint64, cfg.NumCells)}
 	}
 	for t := range d.members {
 		d.members[t] = d.indexSlots(t)
@@ -166,26 +183,54 @@ func (d *Diagnoser) groupOf(chain, pos, t int) int {
 	return g
 }
 
+// slotOf returns the verdict slot of a cell in partition t.
+func (d *Diagnoser) slotOf(cell, t int) int {
+	l := d.loc[cell]
+	return d.groupOf(int(l.chain), int(l.pos), t)
+}
+
+// failPrefix returns how many of the first k partitions, counted from
+// partition 0, fail in a row in the cell's slots.
+func (d *Diagnoser) failPrefix(v *bist.Verdicts, cell, k int) int {
+	t := 0
+	for t < k && v.Fail[t][d.slotOf(cell, t)] {
+		t++
+	}
+	return t
+}
+
+// allCells returns the set of every scanned cell.
+func (d *Diagnoser) allCells() *bitset.Set {
+	cand := bitset.New(d.cfg.NumCells)
+	for _, ch := range d.cfg.Chains {
+		for _, cell := range ch.Cells {
+			cand.Add(cell)
+		}
+	}
+	return cand
+}
+
 // Candidates applies inclusion–exclusion over the first k partitions (k ≤
 // verdict count): a cell remains a candidate iff its group failed in every
 // one of those partitions. Using a prefix lets one verdict set answer "how
 // good is the resolution after k partitions?" for all k.
+//
+// A candidate lies in a failing slot of partition 0, so only those slots'
+// members are visited, each checked against the later partitions until
+// one passes.
 func (d *Diagnoser) Candidates(v *bist.Verdicts, k int) *bitset.Set {
-	if k > len(v.Fail) {
-		k = len(v.Fail)
+	k = min(k, len(v.Fail))
+	if k <= 0 {
+		return d.allCells()
 	}
 	cand := bitset.New(d.cfg.NumCells)
-	for ci, ch := range d.cfg.Chains {
-		for pos, cell := range ch.Cells {
-			in := true
-			for t := 0; t < k; t++ {
-				if !v.Fail[t][d.groupOf(ci, pos, t)] {
-					in = false
-					break
-				}
-			}
-			if in {
-				cand.Add(cell)
+	for g, fail := range v.Fail[0] {
+		if !fail {
+			continue
+		}
+		for _, c := range d.members[0].slot(g) {
+			if d.failPrefix(v, int(c), k) == k {
+				cand.Add(int(c))
 			}
 		}
 	}
@@ -193,33 +238,23 @@ func (d *Diagnoser) Candidates(v *bist.Verdicts, k int) *bitset.Set {
 }
 
 // CandidateCounts fills counts[k-1] with Candidates(v, k).Len() for every
-// prefix length k in 1..len(counts), in one O(cells × partitions) pass
-// without allocating. Each cell contributes the length of its longest
-// all-failing partition prefix to an in-place histogram, and a suffix sum
-// turns exact prefix lengths into "candidate after k partitions" counts.
+// prefix length k in 1..len(counts), without allocating. Each member of a
+// failing slot of partition 0 contributes the length of its longest
+// all-failing partition prefix to an in-place histogram (every other cell
+// has prefix length 0), and a suffix sum turns exact prefix lengths into
+// "candidate after k partitions" counts.
 func (d *Diagnoser) CandidateCounts(v *bist.Verdicts, counts []int) {
-	for i := range counts {
-		counts[i] = 0
-	}
-	kmax := len(counts)
-	if kmax > len(v.Fail) {
-		kmax = len(v.Fail)
-	}
+	clear(counts)
+	kmax := min(len(counts), len(v.Fail))
 	if kmax == 0 {
 		return
 	}
-	for ci, ch := range d.cfg.Chains {
-		for pos := range ch.Cells {
-			l := 0
-			for t := 0; t < kmax; t++ {
-				if !v.Fail[t][d.groupOf(ci, pos, t)] {
-					break
-				}
-				l++
-			}
-			if l > 0 {
-				counts[l-1]++
-			}
+	for g, fail := range v.Fail[0] {
+		if !fail {
+			continue
+		}
+		for _, c := range d.members[0].slot(g) {
+			counts[d.failPrefix(v, int(c), kmax)-1]++
 		}
 	}
 	for k := kmax - 1; k > 0; k-- {
@@ -240,69 +275,125 @@ func (d *Diagnoser) Diagnose(v *bist.Verdicts) *Result {
 	return &Result{Candidates: cand, Pruned: pruned, Confirmed: confirmed}
 }
 
+// pruneScratch holds prune's reusable buffers.
+type pruneScratch struct {
+	// syndrome[c] is the isolated error syndrome of cell c, valid where
+	// confirmed holds c.
+	syndrome []uint64
+	at       []placement
+	start    []int32
+	cells    []int32
+	sessions []pruneSession
+}
+
+// placement puts a candidate cell in failing session id t×stride+g.
+type placement struct{ id, cell int32 }
+
+// pruneSession is a failing session's observed error signature and its
+// remaining candidates.
+type pruneSession struct {
+	sig   uint64
+	cells []int32
+}
+
 // prune refines the candidate set using error-signature superposition,
 // consuming only the first kmax sessions (a degraded run's unobserved
 // sessions carry no signature and must not vote).
 // Invariant: a failing cell is never removed as long as the single-fault
 // assumption's error signatures are consistent (syndrome cancellation of
 // distinct cells is the only escape, and requires a 2^-degree collision).
+//
+// Every pass of the fixpoint visits the failing sessions in partition-
+// then-slot order, because which session confirms a cell first can decide
+// its syndrome. A session's decision does not depend on the order of its
+// cells. Inside the loop pruned only shrinks and confirmed only grows, so
+// each session's candidates are listed once, from the candidate set, and
+// a session without unconfirmed candidates is dropped: it can never act.
 func (d *Diagnoser) prune(v *bist.Verdicts, cand *bitset.Set, kmax int) (pruned, confirmed *bitset.Set) {
 	pruned = cand.Clone()
 	confirmed = bitset.New(d.cfg.NumCells)
 	if len(v.ErrSig) == 0 {
 		return pruned, confirmed
 	}
-	syndrome := make(map[int]uint64) // confirmed cell -> isolated error syndrome
-
-	type session struct{ t, g int }
-	if kmax > len(v.Fail) {
-		kmax = len(v.Fail)
+	kmax = min(kmax, len(v.Fail))
+	sc := d.scratch.Get().(*pruneScratch)
+	defer d.scratch.Put(sc)
+	// Place every candidate in each failing session it lies in, then
+	// group the placements by session id with a counting sort.
+	stride := 0
+	for _, row := range v.Fail[:kmax] {
+		stride = max(stride, len(row))
 	}
-	var failing []session
-	for t := 0; t < kmax; t++ {
-		for g, f := range v.Fail[t] {
-			if f {
-				failing = append(failing, session{t, g})
+	sc.start = append(sc.start[:0], make([]int32, kmax*stride+1)...)
+	sc.at = sc.at[:0]
+	cand.ForEach(func(c int) {
+		for t := 0; t < kmax; t++ {
+			if g := d.slotOf(c, t); v.Fail[t][g] {
+				sc.at = append(sc.at, placement{int32(t*stride + g), int32(c)})
+				sc.start[t*stride+g]++
 			}
 		}
+	})
+	for id := 1; id < len(sc.start); id++ {
+		sc.start[id] += sc.start[id-1]
 	}
-
-	var unknown []int
+	// start[id] is now the end of session id; filling back to front moves
+	// it down to the session's start.
+	sc.cells = slices.Grow(sc.cells[:0], len(sc.at))[:len(sc.at)]
+	for i := len(sc.at) - 1; i >= 0; i-- {
+		p := sc.at[i]
+		sc.start[p.id]--
+		sc.cells[sc.start[p.id]] = p.cell
+	}
+	sessions := sc.sessions[:0]
+	for id := 0; id < kmax*stride; id++ {
+		if lo, hi := sc.start[id], sc.start[id+1]; hi > lo {
+			sessions = append(sessions, pruneSession{sig: v.ErrSig[id/stride][id%stride], cells: sc.cells[lo:hi]})
+		}
+	}
+	sc.sessions = sessions
 	for changed := true; changed; {
 		changed = false
-		for _, s := range failing {
-			// The session's remaining candidates, in scan order.
-			residual := v.ErrSig[s.t][s.g]
-			unknown = unknown[:0]
-			for _, c := range d.members[s.t].slot(s.g) {
-				c := int(c)
-				if !pruned.Contains(c) {
+		live := sessions[:0]
+		for _, s := range sessions {
+			residual := s.sig
+			unknown, lone := 0, 0
+			kept := s.cells[:0]
+			for _, c := range s.cells {
+				if !pruned.Contains(int(c)) {
 					continue
 				}
-				if syn, ok := syndrome[c]; ok {
-					residual ^= syn
+				kept = append(kept, c)
+				if confirmed.Contains(int(c)) {
+					residual ^= sc.syndrome[c]
 				} else {
-					unknown = append(unknown, c)
+					unknown++
+					lone = int(c)
 				}
 			}
+			s.cells = kept
 			switch {
-			case len(unknown) == 1 && residual != 0:
+			case unknown == 1 && residual != 0:
 				// Exactly one unexplained candidate: it must be failing and
 				// its syndrome is the residual.
-				c := unknown[0]
-				syndrome[c] = residual
-				confirmed.Add(c)
+				sc.syndrome[lone] = residual
+				confirmed.Add(lone)
 				changed = true
-			case len(unknown) > 0 && residual == 0:
+			case unknown > 0 && residual == 0:
 				// The observed error signature is fully explained by
 				// confirmed cells; the remaining candidates captured no
 				// error here and cannot be failing.
-				for _, c := range unknown {
-					pruned.Remove(c)
+				for _, c := range s.cells {
+					if !confirmed.Contains(int(c)) {
+						pruned.Remove(int(c))
+					}
 				}
 				changed = true
+			case unknown > 0:
+				live = append(live, s)
 			}
 		}
+		sessions = live
 	}
 	// Confirmed cells always survive pruning.
 	pruned.UnionWith(confirmed)

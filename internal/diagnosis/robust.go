@@ -20,55 +20,41 @@ import (
 // are visited, which for a diagnosable fault is a small fraction of
 // cells × partitions.
 func (d *Diagnoser) CandidatesVoted(v *bist.Verdicts, k, voteK int) *bitset.Set {
-	if k > len(v.Fail) {
-		k = len(v.Fail)
-	}
-	if voteK < 1 {
-		voteK = 1
-	}
-	cand := bitset.New(d.cfg.NumCells)
+	k = min(k, len(v.Fail))
+	voteK = max(voteK, 1)
 	need := int32(k - voteK + 1)
 	if need <= 0 {
 		// Fewer partitions than the threshold: nothing can be pruned.
-		for _, ch := range d.cfg.Chains {
-			for _, cell := range ch.Cells {
-				cand.Add(cell)
-			}
-		}
-		return cand
+		return d.allCells()
 	}
+	cand := bitset.New(d.cfg.NumCells)
 	buf := d.votes.Get().(*[]int32)
 	votes := *buf
-	d.eachNonPass(v, k, func(cell int32) { votes[cell]++ })
-	// The second walk reads the counts and zeroes them again, so the
-	// buffer goes back to the pool clean without an O(cells) clear.
-	d.eachNonPass(v, k, func(cell int32) {
-		if votes[cell] >= need {
-			cand.Add(int(cell))
-		}
-		votes[cell] = 0
-	})
-	d.votes.Put(buf)
-	return cand
-}
-
-// eachNonPass calls fn for every member of every non-pass (Fail or
-// Unknown) slot of the first k partitions, once per partition the cell is
-// non-pass in.
-func (d *Diagnoser) eachNonPass(v *bist.Verdicts, k int, fn func(cell int32)) {
 	for t := 0; t < k; t++ {
-		var unknown []bool
-		if v.Unknown != nil {
-			unknown = v.Unknown[t]
-		}
-		for g, fail := range v.Fail[t] {
-			if fail || (unknown != nil && unknown[g]) {
+		for g := range v.Fail[t] {
+			if v.State(t, g) != bist.VerdictPass {
 				for _, cell := range d.members[t].slot(g) {
-					fn(cell)
+					votes[cell]++
 				}
 			}
 		}
 	}
+	// The second walk reads the counts and zeroes them again, so the
+	// buffer goes back to the pool clean without an O(cells) clear.
+	for t := 0; t < k; t++ {
+		for g := range v.Fail[t] {
+			if v.State(t, g) != bist.VerdictPass {
+				for _, cell := range d.members[t].slot(g) {
+					if votes[cell] >= need {
+						cand.Add(int(cell))
+					}
+					votes[cell] = 0
+				}
+			}
+		}
+	}
+	d.votes.Put(buf)
+	return cand
 }
 
 // DiagnoseRobust runs the noise-tolerant flow: vote-threshold candidate
