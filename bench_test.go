@@ -9,6 +9,7 @@ package scanbist_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	scanbist "repro"
@@ -21,10 +22,12 @@ import (
 	"repro/internal/dictionary"
 	"repro/internal/experiments"
 	"repro/internal/lfsr"
+	"repro/internal/noise"
 	"repro/internal/partition"
 	"repro/internal/reseed"
 	"repro/internal/scan"
 	"repro/internal/sim"
+	"repro/internal/soc"
 	"repro/internal/testability"
 	"repro/internal/vectors"
 )
@@ -460,6 +463,67 @@ func BenchmarkSuperpositionPrune(b *testing.B) {
 		b.Fatal("no candidates")
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(verdicts)), "ns/fault")
+}
+
+// BenchmarkNoisyDiagnosis times the per-fault step of noisy SOC diagnosis
+// under the noisy SOC benchmark workload's tester (SOC1, two-step, 32
+// groups, 8 partitions, 128 patterns; intermittent 0.5, 2% flips, 2%
+// aborts, 4 retries): NoisyVerdicts, Diagnose, DiagnoseRobust at vote
+// threshold 2 and CandidateCounts over precomputed faulty responses of a
+// 30-fault sample per core.
+func BenchmarkNoisyDiagnosis(b *testing.B) {
+	s, err := soc.Preset("soc1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := core.Options{
+		Scheme: partition.TwoStep{}, Groups: 32, Partitions: 8, Patterns: 128,
+		Noise:         noise.Model{Intermittent: 0.5, Flip: 0.02, Abort: 0.02, Seed: 7},
+		Retry:         bist.RetryPolicy{MaxRetries: 4},
+		VoteThreshold: 2,
+	}
+	sb, err := core.NewSOCBench(s, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	art := sb.Artifacts()
+	good, blocks := art.Sim.Good(), art.Sim.Blocks()
+	type faultCase struct {
+		f      sim.Fault
+		faulty []*sim.Response
+	}
+	var cases []faultCase
+	for ci := range s.Cores {
+		for _, f := range sim.SampleFaults(sb.CoreFaults(ci), 30, 1) {
+			if res := art.Sim.Run(ci, f); res.Detected() {
+				cases = append(cases, faultCase{f, res.Faulty})
+			}
+		}
+	}
+	counts := make([]int, opts.Partitions)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	sink := 0
+	for i := 0; i < b.N; i++ {
+		for _, c := range cases {
+			m := opts.Noise.Fork(uint64(int64(c.f.Net)+1), uint64(int64(c.f.Gate)+1), uint64(int64(c.f.Pin)+1), uint64(c.f.Stuck))
+			v, _ := art.Engine.NoisyVerdicts(good, c.faulty, blocks, m, opts.Retry)
+			sink += art.Diag.Diagnose(v).Pruned.Len()
+			sink += art.Diag.DiagnoseRobust(v, opts.VoteThreshold).Pruned.Len()
+			art.Diag.CandidateCounts(v, counts)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	if sink == 0 {
+		b.Fatal("no candidates")
+	}
+	faults := float64(b.N * len(cases))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/faults, "ns/fault")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/faults, "allocs/fault")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/faults, "B/fault")
 }
 
 // BenchmarkPlanBatchesCold times the cold plan build of the end-to-end
