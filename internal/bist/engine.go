@@ -158,6 +158,21 @@ func (v *Verdicts) NumUnknown() int {
 // HasUnknown reports whether any session lacks a verdict.
 func (v *Verdicts) HasUnknown() bool { return v.NumUnknown() > 0 }
 
+// Prefix returns the verdicts of the first k partitions as a row view
+// sharing v's storage, and v itself when k covers every partition. A
+// diagnosis of Prefix(k) is the diagnosis after k partitions.
+func (v *Verdicts) Prefix(k int) *Verdicts {
+	if k >= len(v.Fail) {
+		return v
+	}
+	k = max(k, 0)
+	p := &Verdicts{Fail: v.Fail[:k], ErrSig: v.ErrSig[:k]}
+	if v.Unknown != nil {
+		p.Unknown = v.Unknown[:k]
+	}
+	return p
+}
+
 // Engine computes session verdicts for faults on a fixed scan
 // configuration and plan. It precomputes the per-chain partitions and the
 // syndrome table x^e mod p used for sparse signature evaluation.

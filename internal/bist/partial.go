@@ -24,48 +24,26 @@ func (rp RetryPolicy) Policy() retry.Policy {
 	return retry.Policy{MaxAttempts: rp.Runs()}
 }
 
-// VerdictsUpTo collects session verdicts partition by partition,
-// checking ctx between partitions, and returns the number of partitions
-// observed. A cancellation or deadline mid-collection leaves v holding
-// the completed prefix (later rows are all-pass/no-signature) and
-// returns that prefix length with ctx's error; the caller degrades to a
-// prefix diagnosis (diagnosis.DiagnosePartial), which is sound because
-// partition intersection only ever shrinks the candidate set.
-//
-// For a fully observed run the verdicts equal Verdicts bit-for-bit: the
-// per-partition fold consumes the same per-error-bit contributions, just
-// grouped partition-major so a deadline can land between sessions the
-// way it would on a real tester.
+// VerdictsUpTo is VerdictsInto under a deadline: it polls ctx once per
+// partition, the way a deadline lands between sessions on a real tester,
+// and returns the number of partitions observed. A cancellation before
+// partition t zeroes rows t onward (all-pass, no signature) and returns t
+// with ctx's error; the caller diagnoses v.Prefix(t), a sound superset
+// because partition intersection only ever shrinks the candidate set. A
+// fully observed run returns (Partitions, nil) and leaves v exactly as
+// VerdictsInto does.
 func (e *Engine) VerdictsUpTo(ctx context.Context, good, faulty []*sim.Response, blocks []*sim.Block, v *Verdicts) (int, error) {
-	c := e.sessionContribs(good, faulty, blocks)
-	defer e.arenas.Put(c)
+	e.VerdictsInto(good, faulty, blocks, v)
 	for t := range v.Fail {
-		for i := range v.Fail[t] {
-			v.Fail[t][i] = false
-			v.ErrSig[t][i] = 0
-		}
-	}
-	v.Unknown = nil
-	for t := 0; t < e.plan.Partitions; t++ {
 		if err := ctx.Err(); err != nil {
+			for u := t; u < len(v.Fail); u++ {
+				clear(v.Fail[u])
+				clear(v.ErrSig[u])
+			}
 			return t, err
 		}
-		for slot := 0; slot < e.vgroups; slot++ {
-			var sig uint64
-			active := false
-			for _, i := range c.session(t*e.vgroups + slot) {
-				sig ^= c.bits[i].syn
-				active = true
-			}
-			if e.plan.Ideal {
-				v.Fail[t][slot] = active
-			} else {
-				v.Fail[t][slot] = sig != 0
-			}
-			v.ErrSig[t][slot] = sig
-		}
 	}
-	return e.plan.Partitions, nil
+	return len(v.Fail), nil
 }
 
 // MemoryFootprint estimates the bytes of read-only state the engine

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/benchgen"
 	"repro/internal/partition"
 	"repro/internal/sim"
+	"repro/internal/soc"
 )
 
 // countdownCtx is a deterministic cancellable context: Err returns nil
@@ -228,57 +230,111 @@ func TestCancelSweepParallelNoLeak(t *testing.T) {
 	waitForGoroutines(t, before)
 }
 
-// TestCancelDiagnosePartialSuperset pins degraded-mode soundness fault
-// by fault: a diagnosis cut off after k partitions must report a
-// superset of the full run's candidates (partition intersection is
-// monotone), completeness metadata saying exactly k, and a
-// CandidatesByPartition curve that is a prefix of the full one.
-func TestCancelDiagnosePartialSuperset(t *testing.T) {
+// faultCase is one per-fault diagnosis input of the degraded-mode
+// tests: the full DiagnoseFault outcome and a DiagnoseFaultContext run of
+// the same fault on a circuit or SOC bench.
+type faultCase struct {
+	label   string
+	full    func() *FaultDiagnosis
+	partial func(ctx context.Context) (*FaultDiagnosis, error)
+}
+
+// circuitCases samples n faults of s953 on a bench built with o.
+func circuitCases(t *testing.T, o Options, n int, seed int64) []faultCase {
+	t.Helper()
 	c := benchgen.MustGenerate("s953")
-	o := baseOpts(partition.TwoStep{})
 	b, err := NewCircuitBench(c, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	faults := sim.SampleFaults(b.Faults(), 15, 23)
-	for _, f := range faults {
-		full := b.DiagnoseFault(f)
-		for k := 0; k <= o.Partitions; k++ {
-			// VerdictsUpTo polls ctx once per partition; allowing k polls
-			// cancels it after exactly k observed partitions.
-			ctx := newCountdown(k)
-			fd, err := b.DiagnoseFaultContext(ctx, f)
-			if !full.Detected {
-				if fd.Detected {
-					t.Fatalf("%s: partial run detected a fault the full run missed", f.Describe(c))
-				}
-				continue
+	var cases []faultCase
+	for _, f := range sim.SampleFaults(b.Faults(), n, seed) {
+		cases = append(cases, faultCase{
+			label:   "s953 " + f.Describe(c),
+			full:    func() *FaultDiagnosis { return b.DiagnoseFault(f) },
+			partial: func(ctx context.Context) (*FaultDiagnosis, error) { return b.DiagnoseFaultContext(ctx, f) },
+		})
+	}
+	return cases
+}
+
+// socCases samples n faults of every socmini core on a bench built with o.
+func socCases(t *testing.T, o Options, n int, seed int64) []faultCase {
+	t.Helper()
+	s, err := soc.Preset("socmini")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewSOCBench(s, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cases []faultCase
+	for core := range s.Cores {
+		for _, f := range sim.SampleFaults(b.CoreFaults(core), n, seed) {
+			cases = append(cases, faultCase{
+				label:   fmt.Sprintf("socmini core %d %s", core, f.Describe(s.Cores[core].Circuit)),
+				full:    func() *FaultDiagnosis { return b.DiagnoseFault(core, f) },
+				partial: func(ctx context.Context) (*FaultDiagnosis, error) { return b.DiagnoseFaultContext(ctx, core, f) },
+			})
+		}
+	}
+	return cases
+}
+
+// TestCancelDiagnosePartialSuperset pins degraded-mode soundness fault
+// by fault: a diagnosis cut off after k partitions must report a
+// superset of the full run's candidates (partition intersection is
+// monotone, and under a vote threshold a cell's pass votes only grow
+// with k), completeness metadata saying exactly k, and a
+// CandidatesByPartition curve that is a prefix of the full one.
+func TestCancelDiagnosePartialSuperset(t *testing.T) {
+	voted := baseOpts(partition.TwoStep{})
+	voted.VoteThreshold = 2
+	for _, o := range []Options{baseOpts(partition.TwoStep{}), voted} {
+		cases := append(circuitCases(t, o, 15, 23), socCases(t, o, 5, 23)...)
+		for _, fc := range cases {
+			checkPartialSuperset(t, fmt.Sprintf("vote=%d %s", o.VoteThreshold, fc.label), o.Partitions, fc)
+		}
+	}
+}
+
+func checkPartialSuperset(t *testing.T, label string, parts int, fc faultCase) {
+	t.Helper()
+	full := fc.full()
+	for k := 0; k <= parts; k++ {
+		// VerdictsUpTo polls ctx once per partition; allowing k polls
+		// cancels it after exactly k observed partitions.
+		fd, err := fc.partial(newCountdown(k))
+		if !full.Detected {
+			if fd.Detected {
+				t.Fatalf("%s: partial run detected a fault the full run missed", label)
 			}
-			label := f.Describe(c)
-			if k < o.Partitions {
-				if !errors.Is(err, context.Canceled) {
-					t.Fatalf("%s k=%d: err = %v, want context.Canceled", label, k, err)
-				}
-			} else if err != nil {
-				t.Fatalf("%s k=%d: err = %v for a fully observed run", label, k, err)
+			return
+		}
+		if k < parts {
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s k=%d: err = %v, want context.Canceled", label, k, err)
 			}
-			if fd.Completeness.Observed != k || fd.Completeness.Scheduled != o.Partitions {
-				t.Fatalf("%s k=%d: completeness %+v", label, k, fd.Completeness)
+		} else if err != nil {
+			t.Fatalf("%s k=%d: err = %v for a fully observed run", label, k, err)
+		}
+		if fd.Completeness.Observed != k || fd.Completeness.Scheduled != parts {
+			t.Fatalf("%s k=%d: completeness %+v", label, k, fd.Completeness)
+		}
+		if !fd.Result.Candidates.SupersetOf(full.Result.Candidates) {
+			t.Fatalf("%s k=%d: partial candidates %v are not a superset of full %v",
+				label, k, fd.Result.Candidates.Elems(), full.Result.Candidates.Elems())
+		}
+		if got, want := fd.CandidatesByPartition, full.CandidatesByPartition[:k]; !reflect.DeepEqual(got, want) && !(len(got) == 0 && len(want) == 0) {
+			t.Fatalf("%s k=%d: candidate curve %v, want prefix %v", label, k, got, want)
+		}
+		if k == parts {
+			if !fd.Result.Candidates.Equal(full.Result.Candidates) {
+				t.Fatalf("%s: fully observed partial run differs from DiagnoseFault", label)
 			}
-			if !fd.Result.Candidates.SupersetOf(full.Result.Candidates) {
-				t.Fatalf("%s k=%d: partial candidates %v are not a superset of full %v",
-					label, k, fd.Result.Candidates.Elems(), full.Result.Candidates.Elems())
-			}
-			if got, want := fd.CandidatesByPartition, full.CandidatesByPartition[:k]; !reflect.DeepEqual(got, want) && !(len(got) == 0 && len(want) == 0) {
-				t.Fatalf("%s k=%d: candidate curve %v, want prefix %v", label, k, got, want)
-			}
-			if k == o.Partitions {
-				if !fd.Result.Candidates.Equal(full.Result.Candidates) {
-					t.Fatalf("%s: fully observed partial run differs from DiagnoseFault", label)
-				}
-				if !fd.Completeness.Complete() {
-					t.Fatalf("%s: fully observed run not marked complete: %+v", label, fd.Completeness)
-				}
+			if !fd.Completeness.Complete() {
+				t.Fatalf("%s: fully observed run not marked complete: %+v", label, fd.Completeness)
 			}
 		}
 	}
@@ -286,27 +342,48 @@ func TestCancelDiagnosePartialSuperset(t *testing.T) {
 
 // TestCancelDiagnoseZeroPartitionsIsNoInformation: cancelled at entry,
 // the degraded diagnosis must fall back to the sound no-information
-// answer — every cell a candidate — rather than an empty set.
+// answer — every cell a candidate — rather than an empty set, on a
+// perfect tester and under noise alike.
 func TestCancelDiagnoseZeroPartitionsIsNoInformation(t *testing.T) {
-	c := benchgen.MustGenerate("s953")
-	b, err := NewCircuitBench(c, baseOpts(partition.TwoStep{}))
-	if err != nil {
-		t.Fatal(err)
+	for _, o := range []Options{baseOpts(partition.TwoStep{}), equivNoisyOpts(partition.TwoStep{})} {
+		for _, fc := range circuitCases(t, o, 10, 31) {
+			full := fc.full()
+			if !full.Detected {
+				continue
+			}
+			fd, err := fc.partial(newCountdown(0))
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: err = %v, want context.Canceled", fc.label, err)
+			}
+			if fd.Completeness.Observed != 0 {
+				t.Fatalf("%s: completeness %+v, want zero observed", fc.label, fd.Completeness)
+			}
+			if !fd.Result.Candidates.SupersetOf(full.Actual) {
+				t.Fatalf("%s: zero-partition candidates exclude actually failing cells", fc.label)
+			}
+		}
 	}
-	for _, f := range sim.SampleFaults(b.Faults(), 10, 31) {
-		full := b.DiagnoseFault(f)
-		if !full.Detected {
-			continue
-		}
-		fd, err := b.DiagnoseFaultContext(newCountdown(0), f)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-		if fd.Completeness.Observed != 0 {
-			t.Fatalf("completeness %+v, want zero observed", fd.Completeness)
-		}
-		if !fd.Result.Candidates.SupersetOf(full.Actual) {
-			t.Fatal("zero-partition candidates exclude actually failing cells")
+}
+
+// TestDiagnoseFaultContextMatchesDiagnoseFault: an uncancelled
+// DiagnoseFaultContext is DiagnoseFault, under every option that shapes
+// the diagnosis — including a vote threshold on a perfect tester, which
+// the deadline-aware path once ignored.
+func TestDiagnoseFaultContextMatchesDiagnoseFault(t *testing.T) {
+	voted := baseOpts(partition.TwoStep{})
+	voted.VoteThreshold = 2
+	for _, o := range []Options{baseOpts(partition.TwoStep{}), voted, equivNoisyOpts(partition.TwoStep{})} {
+		cases := append(circuitCases(t, o, 60, 7), socCases(t, o, 10, 7)...)
+		for _, fc := range cases {
+			label := fmt.Sprintf("noisy=%t vote=%d %s", o.Noise.Enabled(), o.VoteThreshold, fc.label)
+			got, err := fc.partial(context.Background())
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			requireSameDiagnosis(t, label, got, fc.full())
+			if c := got.Completeness; c.Observed != o.Partitions || c.Scheduled != o.Partitions {
+				t.Fatalf("%s: completeness %+v, want %d of %d", label, c, o.Partitions, o.Partitions)
+			}
 		}
 	}
 }

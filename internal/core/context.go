@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/bist"
 	"repro/internal/bitset"
@@ -28,33 +29,6 @@ import (
 // either way.
 func sweepOptions(ctx context.Context, o Options) sim.BatchOptions {
 	return sim.BatchOptions{MaxLanes: o.Lanes, ScanOrder: ctx.Done() != nil}
-}
-
-// stampPlan records the batch schedule's shape on the study, so CLIs and
-// experiments can surface scheduler saturation alongside the results.
-func stampPlan(study *Study, plan *sim.BatchPlan) {
-	study.PlanBatches = len(plan.Batches)
-	study.PlanFill = plan.Fill()
-}
-
-// finishStudy aggregates the longest contiguous prefix of completed
-// diagnoses into the study and stamps its completeness. Results past the
-// first gap (batches cancelled or abandoned mid-flight) are discarded:
-// a prefix has a clean meaning — "the sweep ran out of time after fault
-// n" — where a gappy subset does not.
-func finishStudy(study *Study, results []*FaultDiagnosis, observe func(*FaultDiagnosis)) *Study {
-	n := 0
-	for n < len(results) && results[n] != nil {
-		n++
-	}
-	for _, fd := range results[:n] {
-		if observe != nil {
-			observe(fd)
-		}
-		study.add(fd)
-	}
-	study.Completeness = diagnosis.Completeness{Observed: n, Scheduled: len(results)}
-	return study
 }
 
 // RunContext is Run with cancellation: on a context deadline or cancel
@@ -127,10 +101,8 @@ type laneSim interface {
 }
 
 func (sw sweep) run(ctx context.Context, faults []sim.Fault, observe func(*FaultDiagnosis)) (*Study, error) {
-	study := newStudy(sw.o, sw.o.Scheme.Name())
 	results := make([]*FaultDiagnosis, len(faults))
 	plan := sw.o.Cache.Plan(sw.c, faults, sweepOptions(ctx, sw.o))
-	stampPlan(study, plan)
 	ex := pipeline.Executor{Workers: sw.o.Workers, Retry: sw.o.Retry.Policy()}
 	err := pipeline.RunLanes(ctx, ex, len(plan.Batches), func() pipeline.LaneJob[*sim.BatchScratch] {
 		ls := sw.fork()
@@ -153,12 +125,24 @@ func (sw sweep) run(ctx context.Context, faults []sim.Fault, observe func(*Fault
 				cb := plan.Batches[pi]
 				defer annotatePanic(k, cb, sw.c)
 				f, actual, detected, faulty := ls.materialize(bs, k)
-				results[cb.Index[k]] = w.diagnose(f, actual, detected, faulty)
+				// The sweep's ctx is polled per batch and lane claim; a
+				// lane always observes every partition.
+				results[cb.Index[k]], _ = w.diagnose(context.Background(), f, actual, detected, faulty)
 				return nil
 			},
 		}
 	})
-	return finishStudy(study, results, observe), err
+	// Keep the longest contiguous prefix of completed diagnoses. Results
+	// past the first gap (batches cancelled or abandoned mid-flight) are
+	// dropped: a prefix has a clean meaning — "the sweep ran out of time
+	// after fault n" — where a gappy subset does not.
+	if n := slices.Index(results, nil); n >= 0 {
+		clear(results[n:])
+	}
+	study := MergeObserved(sw.o, sw.o.Scheme.Name(), results, observe)
+	study.PlanBatches = len(plan.Batches)
+	study.PlanFill = plan.Fill()
+	return study, err
 }
 
 type circuitLanes struct {
@@ -213,54 +197,23 @@ func annotatePanic(lane int, cb *sim.CompiledBatch, c *circuit.Circuit) {
 
 // DiagnoseFaultContext is DiagnoseFault with a deadline: verdicts are
 // collected partition by partition (bist.VerdictsUpTo) and a context
-// ending mid-collection degrades to a diagnosis over the observed prefix
+// ending mid-collection degrades to a diagnosis of the observed prefix
 // — a sound, conservative superset of the full candidate set, because
-// each further partition only ever removes candidates. The returned
-// FaultDiagnosis carries Completeness (partitions observed / scheduled)
-// and CandidatesByPartition truncated to the observed prefix; the ctx
-// error is returned alongside it. Degraded collection models a perfect
-// tester; with a noise model configured the full noisy flow runs if the
-// context is still alive at entry.
+// each further partition only ever removes candidates (or, under a vote
+// threshold, only ever adds pass votes). The returned FaultDiagnosis
+// carries Completeness (partitions observed / scheduled) and
+// CandidatesByPartition truncated to the observed prefix; the ctx error
+// is returned alongside it. Degraded collection models a perfect tester;
+// with a noise model configured the full noisy flow runs if the context
+// is still alive at entry.
 func (b *CircuitBench) DiagnoseFaultContext(ctx context.Context, f sim.Fault) (*FaultDiagnosis, error) {
 	res := b.fs.Run(f)
-	return diagnosePartial(ctx, b.Opts, b.art.Engine, b.art.Diag, b.art.Good, b.art.Blocks,
-		&FaultDiagnosis{Fault: res.Fault, Actual: res.FailingCells, Detected: res.Detected()}, res.Faulty)
+	return b.worker().diagnose(ctx, res.Fault, res.FailingCells, res.Detected(), res.Faulty)
 }
 
 // DiagnoseFaultContext mirrors CircuitBench.DiagnoseFaultContext for a
 // fault injected into one core of the SOC.
 func (b *SOCBench) DiagnoseFaultContext(ctx context.Context, core int, f sim.Fault) (*FaultDiagnosis, error) {
 	res := b.fs.Run(core, f)
-	return diagnosePartial(ctx, b.Opts, b.art.Engine, b.art.Diag, b.fs.Good(), b.fs.Blocks(),
-		&FaultDiagnosis{Fault: res.Fault, Actual: res.FailingCells, Detected: res.Detected()}, res.Faulty)
-}
-
-// diagnosePartial is diagnoseFault's deadline-aware twin, shared by the
-// circuit- and SOC-level DiagnoseFaultContext.
-func diagnosePartial(ctx context.Context, o Options, eng *bist.Engine, diag *diagnosis.Diagnoser, good []*sim.Response, blocks []*sim.Block, fd *FaultDiagnosis, faulty []*sim.Response) (*FaultDiagnosis, error) {
-	fd.Completeness = diagnosis.Completeness{Observed: o.Partitions, Scheduled: o.Partitions}
-	if !fd.Detected {
-		return fd, ctx.Err()
-	}
-	if o.Noise.Enabled() {
-		// The noisy flow already runs every session Retry.Runs() times and
-		// votes; a deadline fine enough to split it is not modelled, so it
-		// is all-or-nothing on the context state at entry.
-		if err := ctx.Err(); err != nil {
-			fd.Completeness.Observed = 0
-			fd.Result = diag.DiagnosePartial(eng.NewVerdicts(), 0)
-			return fd, err
-		}
-		diagnoseFault(o, eng, diag, good, blocks, faulty, fd)
-		return fd, nil
-	}
-	v := eng.NewVerdicts()
-	k, err := eng.VerdictsUpTo(ctx, good, faulty, blocks, v)
-	fd.Completeness.Observed = k
-	fd.Result = diag.DiagnosePartial(v, k)
-	fd.CandidatesByPartition = make([]int, k)
-	for i := 1; i <= k; i++ {
-		fd.CandidatesByPartition[i-1] = diag.Candidates(v, i).Len()
-	}
-	return fd, err
+	return b.worker().diagnose(ctx, res.Fault, res.FailingCells, res.Detected(), res.Faulty)
 }

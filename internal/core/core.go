@@ -361,10 +361,12 @@ func (b *CircuitBench) Faults() []sim.Fault {
 	return sim.CollapseFaults(b.Circuit, sim.FullFaultList(b.Circuit))
 }
 
-// DiagnoseFault runs the complete flow for one fault on the reference
-// (unpooled) path; Run uses the pooled batch path with identical results.
+// DiagnoseFault runs the complete flow for one fault: the event-driven
+// simulator and a one-off diagnosis worker. Run batches the simulation
+// over a worker pool with identical results.
 func (b *CircuitBench) DiagnoseFault(f sim.Fault) *FaultDiagnosis {
-	return b.diagnose(b.fs.Run(f))
+	fd, _ := b.DiagnoseFaultContext(context.Background(), f)
+	return fd
 }
 
 // DiagnoseMulti runs the flow for several simultaneous faults — the
@@ -372,44 +374,14 @@ func (b *CircuitBench) DiagnoseFault(f sim.Fault) *FaultDiagnosis {
 // overlapping failing segments (Figure 2). The FaultDiagnosis carries the
 // first fault.
 func (b *CircuitBench) DiagnoseMulti(faults []sim.Fault) *FaultDiagnosis {
-	return b.diagnose(b.fs.RunMulti(faults))
-}
-
-func (b *CircuitBench) diagnose(res *sim.Result) *FaultDiagnosis {
-	fd := &FaultDiagnosis{Fault: res.Fault, Actual: res.FailingCells, Detected: res.Detected()}
-	diagnoseFault(b.Opts, b.art.Engine, b.art.Diag, b.art.Good, b.art.Blocks, res.Faulty, fd)
+	res := b.fs.RunMulti(faults)
+	fd, _ := b.worker().diagnose(context.Background(), res.Fault, res.FailingCells, res.Detected(), res.Faulty)
 	return fd
 }
 
-// diagnoseFault derives session verdicts — deterministic for a perfect
-// tester, tri-state with retries and voting under noise — and fills in the
-// candidate sets. Shared by the circuit- and SOC-level benches. This is
-// the reference implementation the pooled worker path must match
-// bit-for-bit; it allocates per call and is kept for single-fault APIs and
-// equivalence tests.
-func diagnoseFault(o Options, eng *bist.Engine, diag *diagnosis.Diagnoser, good []*sim.Response, blocks []*sim.Block, faulty []*sim.Response, fd *FaultDiagnosis) {
-	if !fd.Detected {
-		return
-	}
-	var v *bist.Verdicts
-	if o.Noise.Enabled() {
-		// Fork a per-fault substream keyed by the fault's identity so the
-		// noise a fault sees is independent of diagnosis order.
-		m := o.Noise.Fork(uint64(int64(fd.Fault.Net)+1), uint64(int64(fd.Fault.Gate)+1),
-			uint64(int64(fd.Fault.Pin)+1), uint64(fd.Fault.Stuck))
-		var rel *bist.Reliability
-		v, rel = eng.NoisyVerdicts(good, faulty, blocks, m, o.Retry)
-		fd.Reliability = rel
-		fd.Baseline = diag.Diagnose(v)
-		fd.Result = diag.DiagnoseRobust(v, o.VoteThreshold)
-	} else {
-		v = eng.Verdicts(good, faulty, blocks)
-		fd.Result = diag.DiagnoseRobust(v, o.VoteThreshold)
-	}
-	fd.CandidatesByPartition = make([]int, o.Partitions)
-	for k := 1; k <= o.Partitions; k++ {
-		fd.CandidatesByPartition[k-1] = diag.Candidates(v, k).Len()
-	}
+// worker builds a one-off diagnosis worker for the single-fault APIs.
+func (b *CircuitBench) worker() *diagWorker {
+	return newDiagWorker(b.Opts, b.art.Engine, b.art.Diag, b.art.Good, b.art.Blocks)
 }
 
 // diagWorker carries one worker's reusable diagnosis buffers — a pooled
@@ -433,33 +405,43 @@ func newDiagWorker(o Options, eng *bist.Engine, diag *diagnosis.Diagnoser, good 
 	}
 }
 
-// diagnose is the pooled counterpart of diagnoseFault: verdicts land in
-// the worker's reused buffers and candidate counts come from the
-// O(cells × partitions) histogram pass instead of one bitset per prefix.
-// actual and faulty may alias worker scratch; everything escaping into the
+// diagnose is the one verdicts → candidates step behind every sweep and
+// single-fault API. It derives session verdicts — deterministic for a
+// perfect tester, tri-state with retries and voting under noise — and
+// diagnoses the prefix of partitions observed before ctx ended; a sweep
+// passes context.Background() and always observes them all. actual and
+// faulty may alias worker scratch; everything escaping into the
 // FaultDiagnosis is copied.
-func (w *diagWorker) diagnose(f sim.Fault, actual *bitset.Set, detected bool, faulty []*sim.Response) *FaultDiagnosis {
-	fd := &FaultDiagnosis{Fault: f, Actual: actual.Clone(), Detected: detected}
+func (w *diagWorker) diagnose(ctx context.Context, f sim.Fault, actual *bitset.Set, detected bool, faulty []*sim.Response) (*FaultDiagnosis, error) {
+	n := w.o.Partitions
+	fd := &FaultDiagnosis{Fault: f, Actual: actual.Clone(), Detected: detected,
+		Completeness: diagnosis.Completeness{Observed: n, Scheduled: n}}
 	if !detected {
-		return fd
+		return fd, ctx.Err()
 	}
-	var v *bist.Verdicts
+	v, k, err := w.v, n, error(nil)
 	if w.o.Noise.Enabled() {
-		m := w.o.Noise.Fork(uint64(int64(f.Net)+1), uint64(int64(f.Gate)+1),
-			uint64(int64(f.Pin)+1), uint64(f.Stuck))
-		var rel *bist.Reliability
-		v, rel = w.eng.NoisyVerdicts(w.good, faulty, w.blocks, m, w.o.Retry)
-		fd.Reliability = rel
-		fd.Baseline = w.diag.Diagnose(v)
-		fd.Result = w.diag.DiagnoseRobust(v, w.o.VoteThreshold)
+		// The noisy flow runs every session Retry.Runs() times and votes;
+		// a deadline fine enough to split it is not modelled, so it is
+		// all-or-nothing on the context state at entry.
+		if err = ctx.Err(); err != nil {
+			k = 0
+		} else {
+			// Fork a per-fault substream keyed by the fault's identity so
+			// the noise a fault sees is independent of diagnosis order.
+			m := w.o.Noise.Fork(uint64(int64(f.Net)+1), uint64(int64(f.Gate)+1),
+				uint64(int64(f.Pin)+1), uint64(f.Stuck))
+			v, fd.Reliability = w.eng.NoisyVerdicts(w.good, faulty, w.blocks, m, w.o.Retry)
+			fd.Baseline = w.diag.Diagnose(v)
+		}
 	} else {
-		w.eng.VerdictsInto(w.good, faulty, w.blocks, w.v)
-		v = w.v
-		fd.Result = w.diag.DiagnoseRobust(v, w.o.VoteThreshold)
+		k, err = w.eng.VerdictsUpTo(ctx, w.good, faulty, w.blocks, v)
 	}
-	w.diag.CandidateCounts(v, w.counts)
-	fd.CandidatesByPartition = append([]int(nil), w.counts...)
-	return fd
+	fd.Completeness.Observed = k
+	fd.Result = w.diag.DiagnoseRobust(v.Prefix(k), w.o.VoteThreshold)
+	w.diag.CandidateCounts(v, w.counts[:k])
+	fd.CandidatesByPartition = append([]int(nil), w.counts[:k]...)
+	return fd, err
 }
 
 // Run diagnoses every fault and aggregates the study, using
@@ -539,23 +521,25 @@ func (b *SOCBench) Cost() bist.Cost { return b.art.Engine.Cost() }
 // CoreFaults returns the collapsed fault list of core i.
 func (b *SOCBench) CoreFaults(i int) []sim.Fault { return b.fs.CoreFaults(i) }
 
-// DiagnoseFault runs the flow for a fault injected into one core on the
-// reference (unpooled) path.
+// DiagnoseFault runs the flow for a fault injected into one core through
+// a one-off diagnosis worker; RunCore gives identical results.
 func (b *SOCBench) DiagnoseFault(core int, f sim.Fault) *FaultDiagnosis {
-	return b.diagnose(b.fs.Run(core, f))
+	fd, _ := b.DiagnoseFaultContext(context.Background(), core, f)
+	return fd
 }
 
 // DiagnoseMultiCore runs the flow with one fault in each of several cores
 // simultaneously — multiple spot defects, each contributing a clustered
 // failing segment to the meta chain.
 func (b *SOCBench) DiagnoseMultiCore(coreFaults map[int]sim.Fault) *FaultDiagnosis {
-	return b.diagnose(b.fs.RunMulti(coreFaults))
+	res := b.fs.RunMulti(coreFaults)
+	fd, _ := b.worker().diagnose(context.Background(), res.Fault, res.FailingCells, res.Detected(), res.Faulty)
+	return fd
 }
 
-func (b *SOCBench) diagnose(res *soc.Result) *FaultDiagnosis {
-	fd := &FaultDiagnosis{Fault: res.Fault, Actual: res.FailingCells, Detected: res.Detected()}
-	diagnoseFault(b.Opts, b.art.Engine, b.art.Diag, b.fs.Good(), b.fs.Blocks(), res.Faulty, fd)
-	return fd
+// worker builds a one-off diagnosis worker for the single-fault APIs.
+func (b *SOCBench) worker() *diagWorker {
+	return newDiagWorker(b.Opts, b.art.Engine, b.art.Diag, b.fs.Good(), b.fs.Blocks())
 }
 
 // RunCore diagnoses a set of faults all injected into one core (the

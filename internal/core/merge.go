@@ -10,8 +10,9 @@ import "repro/internal/diagnosis"
 // global fault list, nil slots mark faults whose shard failed or was
 // cancelled.
 //
-// Unlike the sweep aggregator, which keeps only the contiguous prefix
-// (a cancelled sweep means "ran out of time after fault n"), the merge
+// It is also the local sweep's aggregator: a sweep clears its results
+// past the first nil, so a cancelled sweep reports the contiguous prefix
+// it finished ("ran out of time after fault n"). The merge itself
 // accepts gaps: a dead worker punches a hole in the middle of the fault
 // list, and every completed shard around it is still sound and worth
 // reporting. Completeness records Observed (non-nil slots) against

@@ -163,8 +163,8 @@ func randomPruneCase(rng *rand.Rand, lay layout) (*Diagnoser, *bist.Verdicts, er
 	return d, v, nil
 }
 
-// checkPruneMatchesScan compares Diagnose and DiagnosePartial at every
-// observed-session count with the reference pruner.
+// checkPruneMatchesScan compares Diagnose, over all partitions and over
+// every observed prefix, with the reference pruner.
 func checkPruneMatchesScan(t *testing.T, d *Diagnoser, v *bist.Verdicts, what string) {
 	t.Helper()
 	check := func(name string, got *Result, observed int) {
@@ -178,7 +178,7 @@ func checkPruneMatchesScan(t *testing.T, d *Diagnoser, v *bist.Verdicts, what st
 	}
 	check("Diagnose", d.Diagnose(v), len(v.Fail))
 	for observed := 0; observed <= len(v.Fail); observed++ {
-		check("DiagnosePartial", d.DiagnosePartial(v, observed), observed)
+		check("Diagnose(Prefix)", d.Diagnose(v.Prefix(observed)), observed)
 	}
 }
 

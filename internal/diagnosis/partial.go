@@ -1,7 +1,5 @@
 package diagnosis
 
-import "repro/internal/bist"
-
 // Completeness records how much of a scheduled workload a degraded run
 // actually observed — partitions of a session, faults of a sweep — so a
 // partial result carries its own confidence label instead of
@@ -28,25 +26,4 @@ func (c Completeness) Fraction() float64 {
 		return 1
 	}
 	return f
-}
-
-// DiagnosePartial diagnoses from the first observed partitions only, for
-// degraded mode: a deadline landed mid-session and bist.VerdictsUpTo
-// delivered a verdict prefix. The result is sound — a conservative
-// superset of the full diagnosis — because each partition only ever
-// removes candidates: Candidates(v, k) ⊇ Candidates(v, k′) for k ≤ k′,
-// and the pruning pass below consumes only observed sessions, so every
-// cell the full run would keep is kept here. observed == 0 (cancelled at
-// entry) degenerates to "every cell is a candidate", the correct
-// no-information answer.
-func (d *Diagnoser) DiagnosePartial(v *bist.Verdicts, observed int) *Result {
-	if observed < 0 {
-		observed = 0
-	}
-	if observed > len(v.Fail) {
-		observed = len(v.Fail)
-	}
-	cand := d.Candidates(v, observed)
-	pruned, confirmed := d.prune(v, cand, observed)
-	return &Result{Candidates: cand, Pruned: pruned, Confirmed: confirmed}
 }
