@@ -171,6 +171,14 @@ func TestFindSeedsMatchesScan(t *testing.T) {
 			cases = append(cases, tc{poly, min(AutoLenBits(n, b), d), n, b, count})
 		}
 	}
+	// The degree-16 geometries the CLIs and the end-to-end benchmark run:
+	// s13207's 638-cell chain in 16 groups, SOC1 on one 4624-cell meta
+	// chain and at TAM width 8 (578-cell meta chains), in 32 groups.
+	for _, g := range [][2]int{{638, 16}, {4624, 32}, {578, 32}} {
+		for _, count := range []int{1, 8} {
+			cases = append(cases, tc{lfsr.MustPrimitivePoly(16), AutoLenBits(g[0], g[1]), g[0], g[1], count})
+		}
+	}
 	// x^8 + 1 rotates the register: 35 cycles of lengths 1, 2, 4 and 8,
 	// some shorter than the k-clock stride between readings.
 	rot8 := lfsr.Poly(1<<8 | 1)
@@ -208,6 +216,33 @@ func TestFindSeedsMatchesScan(t *testing.T) {
 	)
 	for _, c := range cases {
 		checkSeedsMatchScan(t, c.poly, c.k, c.n, c.b, c.counts)
+	}
+}
+
+// TestFindSeedsPinned pins the seeds FindSeeds picks at the production
+// geometries, so a rewrite of the search that drifts together with the
+// reference scan still fails.
+func TestFindSeedsPinned(t *testing.T) {
+	poly := lfsr.MustPrimitivePoly(16)
+	for _, c := range []struct {
+		n, b, count int
+		want        []uint64
+	}{
+		{638, 16, 1, []uint64{0xb68}},
+		{638, 16, 8, []uint64{0xb68, 0x806a, 0x5857, 0x503c, 0x527d, 0x7f43, 0x1f44, 0x453c}},
+		{4624, 32, 1, []uint64{0xa5b9}},
+		{4624, 32, 8, []uint64{0xa5b9, 0xa1e9, 0x5920, 0x3143, 0xc80e, 0x108c, 0xe9b0, 0x22f6}},
+		{578, 32, 1, []uint64{0x3459}},
+		{578, 32, 8, []uint64{0x3459, 0x7b9b, 0x3248, 0xbc9e, 0x35a9, 0x5194, 0x1331, 0x3bf7}},
+	} {
+		k := AutoLenBits(c.n, c.b)
+		got, err := FindSeeds(poly, k, c.n, c.b, c.count)
+		if err != nil {
+			t.Fatalf("n=%d b=%d k=%d count=%d: %v", c.n, c.b, k, c.count, err)
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("n=%d b=%d k=%d count=%d: seeds %#x, want %#x", c.n, c.b, k, c.count, got, c.want)
+		}
 	}
 }
 
