@@ -432,6 +432,39 @@ func BenchmarkIntervalSeedSearch(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineBuild times bist.NewEngine, whose cost is the interval
+// seed search, for the two-step plans of the end-to-end benchmark: one
+// 638-cell s13207 chain in 16 groups, and SOC1 at TAM width 8, whose eight
+// 578-cell meta chains share one search, in 32 groups.
+func BenchmarkEngineBuild(b *testing.B) {
+	chip, err := soc.SOC1()
+	if err != nil {
+		b.Fatal(err)
+	}
+	tam8, err := chip.MetaChains(8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		cfg    scan.Config
+		groups int
+	}{
+		{"s13207", scan.SingleChain(benchgen.MustGenerate("s13207").NumDFFs()), 16},
+		{"soc1-tam8", tam8, 32},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			plan := bist.Plan{Scheme: partition.TwoStep{}, Groups: c.groups, Partitions: 8}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := bist.NewEngine(c.cfg, plan, 128); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSuperpositionPrune times Diagnoser.Diagnose — intersection
 // candidates plus superposition pruning — over precomputed verdicts of a
 // 500-fault s13207 sample in the end-to-end benchmark's configuration

@@ -233,10 +233,17 @@ func NewEngine(cfg scan.Config, plan Plan, nPatterns int) (*Engine, error) {
 		posOf:   make([]int, cfg.NumCells),
 		shiftsL: cfg.MaxChainLength(),
 	}
+	// A Scheme gives equal partitions for equal arguments, and partitions
+	// are read-only, so chains of one length share a single search.
+	byLen := make(map[int][]partition.Partition)
 	for ci, ch := range cfg.Chains {
-		p, err := plan.Scheme.Partitions(ch.Len(), plan.Groups, plan.Partitions)
-		if err != nil {
-			return nil, fmt.Errorf("bist: chain %d: %w", ci, err)
+		p, ok := byLen[ch.Len()]
+		if !ok {
+			var err error
+			if p, err = plan.Scheme.Partitions(ch.Len(), plan.Groups, plan.Partitions); err != nil {
+				return nil, fmt.Errorf("bist: chain %d: %w", ci, err)
+			}
+			byLen[ch.Len()] = p
 		}
 		e.parts = append(e.parts, p)
 		for pos, cell := range ch.Cells {
@@ -267,7 +274,8 @@ func (e *Engine) Plan() Plan { return e.plan }
 // Config returns the scan configuration.
 func (e *Engine) Config() scan.Config { return e.cfg }
 
-// ChainPartitions returns the partitions applied to one chain.
+// ChainPartitions returns the partitions applied to one chain. Chains of
+// one length share them, so they are read-only.
 func (e *Engine) ChainPartitions(chain int) []partition.Partition { return e.parts[chain] }
 
 // NewVerdicts allocates a Verdicts shaped for this engine's plan, for

@@ -76,6 +76,9 @@ func NewFullModel(c *circuit.Circuit, order []int, scheme partition.Scheme, grou
 		if m.lenBits == 0 {
 			m.lenBits = partition.AutoLenBits(n, groups)
 		}
+		if d := m.partPoly.Degree(); m.lenBits < 1 || m.lenBits > d {
+			return nil, fmt.Errorf("bist: interval length field %d outside [1, %d], the LFSR degree", m.lenBits, d)
+		}
 		m.seeds = s.Seeds
 		if len(m.seeds) == 0 {
 			return nil, fmt.Errorf("bist: full model needs explicit interval seeds")

@@ -1,6 +1,7 @@
 package bist
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/benchgen"
@@ -96,6 +97,14 @@ func TestFullModelValidation(t *testing.T) {
 	}
 	if _, err := NewFullModel(c, order, partition.Interval{}, 4, misr, 1); err == nil {
 		t.Error("interval without seeds accepted")
+	}
+	// The length field is read from the register, so it spans 1 to the
+	// polynomial's degree (16 by default).
+	for _, lenBits := range []int{-1, 17, 1 << 24} {
+		s := partition.Interval{LenBits: lenBits, Seeds: []uint64{0x1234}}
+		if _, err := NewFullModel(c, order, s, 4, misr, 1); err == nil || !strings.Contains(err.Error(), "length field") {
+			t.Errorf("LenBits %d: err = %v, want the length-field error", lenBits, err)
+		}
 	}
 	m, err := NewFullModel(c, order, partition.Interval{Seeds: []uint64{0x1234}}, 4, misr, 1)
 	if err != nil {

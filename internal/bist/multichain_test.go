@@ -1,6 +1,8 @@
 package bist
 
 import (
+	"maps"
+	"reflect"
 	"testing"
 
 	"repro/internal/benchgen"
@@ -8,6 +10,7 @@ import (
 	"repro/internal/partition"
 	"repro/internal/scan"
 	"repro/internal/sim"
+	"repro/internal/soc"
 )
 
 func multiChainSetup(t *testing.T, shared bool) (*Engine, *sim.FaultSim, []*sim.Block) {
@@ -117,6 +120,63 @@ func TestPerChainMatchesFullMISRMultiChain(t *testing.T) {
 					t.Fatalf("fault %s partition %d slot %d: verdict %v, MISR %v",
 						f.Describe(fs.Circuit()), pt, slot, v.Fail[pt][slot], want)
 				}
+			}
+		}
+	}
+}
+
+// countingScheme counts the Partitions calls it forwards, per chain length.
+type countingScheme struct {
+	partition.Scheme
+	calls map[int]int
+}
+
+func (s *countingScheme) Partitions(n, b, k int) ([]partition.Partition, error) {
+	s.calls[n]++
+	return s.Scheme.Partitions(n, b, k)
+}
+
+// TestEngineSharesEqualLengthChains: NewEngine asks the scheme once per
+// distinct chain length, and every chain still gets exactly the partitions
+// the scheme gives for its length.
+func TestEngineSharesEqualLengthChains(t *testing.T) {
+	chip, err := soc.SOC1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := chip.MetaChains(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s13207 := benchgen.MustGenerate("s13207")
+	split, err := scan.SplitContiguous(scan.NaturalOrder(s13207.NumDFFs()), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		cfg   scan.Config
+		calls map[int]int
+	}{
+		{"soc1 tam8", meta, map[int]int{578: 1}},
+		{"s13207 split3", split, map[int]int{213: 1, 212: 1}},
+	} {
+		sch := &countingScheme{Scheme: partition.TwoStep{}, calls: map[int]int{}}
+		const groups, parts = 16, 4
+		eng, err := NewEngine(c.cfg, Plan{Scheme: sch, Groups: groups, Partitions: parts}, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !maps.Equal(sch.calls, c.calls) {
+			t.Errorf("%s: Partitions calls per chain length %v, want %v", c.name, sch.calls, c.calls)
+		}
+		for ci, ch := range c.cfg.Chains {
+			want, err := partition.TwoStep{}.Partitions(ch.Len(), groups, parts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(eng.ChainPartitions(ci), want) {
+				t.Errorf("%s: chain %d (%d cells) partitions differ from a direct Partitions call", c.name, ci, ch.Len())
 			}
 		}
 	}

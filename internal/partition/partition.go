@@ -192,7 +192,7 @@ func (s RandomSelection) Partitions(n, b, k int) ([]Partition, error) {
 // cover the whole chain with none empty.
 type Interval struct {
 	Poly    lfsr.Poly // feedback polynomial; zero selects degree 16
-	LenBits int       // k bits per length; zero derives from (n, b)
+	LenBits int       // k bits per length, at most Poly's degree; zero derives from (n, b)
 	Seeds   []uint64  // explicit per-partition seeds; empty triggers search
 }
 
@@ -289,13 +289,20 @@ const MaxSearchDegree = 24
 //     successive interval partitions refine rather than repeat each other.
 //
 // An error is returned when fewer than count distinct covering partitions
-// exist, or when the polynomial's degree exceeds MaxSearchDegree.
+// exist, when the geometry is invalid (k outside [1, degree], or b outside
+// [1, n]), or when the polynomial's degree exceeds MaxSearchDegree.
 func FindSeeds(poly lfsr.Poly, k, n, b, count int) ([]uint64, error) {
 	if k > poly.Degree() {
 		return nil, fmt.Errorf("partition: length field %d wider than LFSR degree %d", k, poly.Degree())
 	}
+	if k < 1 {
+		return nil, fmt.Errorf("partition: length field %d narrower than one bit", k)
+	}
 	if count <= 0 {
 		return nil, nil
+	}
+	if err := checkArgs(n, b, count); err != nil {
+		return nil, err
 	}
 	l, err := lfsr.New(poly, 1)
 	if err != nil {
@@ -305,181 +312,234 @@ func FindSeeds(poly lfsr.Poly, k, n, b, count int) ([]uint64, error) {
 		return nil, fmt.Errorf("partition: interval seed search over a degree-%d LFSR (2^%d seeds) exceeds the maximum degree %d",
 			d, d, MaxSearchDegree)
 	}
-	cands, keys := coveringSeeds(l, k, n, b)
-	if len(cands) < count {
+	cy := walkCycles(l)
+	pool, bounds := balancedPool(cy, coveringSeeds(cy, k, n, b), k, n, b, count*64)
+	if len(pool) < count {
 		return nil, fmt.Errorf("partition: only %d of %d distinct covering partitions exist for n=%d b=%d k=%d",
-			len(cands), count, n, b, k)
+			len(pool), count, n, b, k)
 	}
-	slices.SortFunc(cands, func(x, y seedCand) int {
-		if x.maxLen != y.maxLen {
-			return cmp.Compare(x.maxLen, y.maxLen)
+	// Pick for boundary diversity: each round takes the first candidate
+	// farthest from its nearest already-picked partition. dist[i] is that
+	// nearest distance, updated against the newest pick only.
+	seeds := make([]uint64, 0, count)
+	used := make([]bool, len(pool))
+	dist := make([]int, len(pool))
+	for i := range dist {
+		dist[i] = 1 << 62
+	}
+	for pick := 0; ; {
+		seeds = append(seeds, pool[pick])
+		used[pick] = true
+		if len(seeds) == count {
+			return seeds, nil
 		}
-		return cmp.Compare(x.seed, y.seed)
-	})
-	// Restrict to a balanced pool, then pick for boundary diversity.
-	if maxPool := count * 64; len(cands) > maxPool {
-		cands = cands[:maxPool]
-	}
-	type cand struct {
-		seed   uint64
-		bounds []int
-	}
-	pool := make([]cand, len(cands))
-	flat := make([]int, len(cands)*b)
-	for i, c := range cands {
-		bounds := flat[i*b : (i+1)*b]
-		pos := 0
-		for j := range bounds {
-			if j < b-1 {
-				pos += int(keys[c.key+j])
-			} else {
-				pos = n
-			}
-			bounds[j] = pos
-		}
-		pool[i] = cand{seed: c.seed, bounds: bounds}
-	}
-	chosen := []cand{pool[0]}
-	used := map[uint64]bool{pool[0].seed: true}
-	for len(chosen) < count {
+		last := bounds[pick*b : (pick+1)*b]
 		bestIdx, bestDist := -1, -1
-		for i, c := range pool {
-			if used[c.seed] {
+		for i := range pool {
+			if used[i] {
 				continue
 			}
-			dist := 1 << 62
-			for _, ch := range chosen {
-				if d := cutDistance(c.bounds, ch.bounds); d < dist {
-					dist = d
-				}
-			}
-			if dist > bestDist {
-				bestIdx, bestDist = i, dist
+			dist[i] = min(dist[i], cutDistance(bounds[i*b:(i+1)*b], last))
+			if dist[i] > bestDist {
+				bestIdx, bestDist = i, dist[i]
 			}
 		}
-		chosen = append(chosen, pool[bestIdx])
-		used[pool[bestIdx].seed] = true
+		pick = bestIdx
 	}
-	seeds := make([]uint64, count)
-	for i, c := range chosen {
-		seeds[i] = c.seed
-	}
-	return seeds, nil
 }
 
-// seedCand is one distinct covering partition found by coveringSeeds.
-type seedCand struct {
-	seed   uint64 // smallest seed producing the partition
-	maxLen int    // longest interval, the last truncated at the chain end
-	key    int    // offset of its first b−1 interval lengths in the arena
+// stateCycles holds every cycle of a register's state graph. With a
+// constant term the feedback map permutes the 2^d − 1 nonzero states, so
+// they fall into disjoint cycles (exactly one for a primitive polynomial).
+type stateCycles struct {
+	states []uint32 // every cycle in stepping order, laid end to end
+	starts []int    // starts[c]: offset of cycle c; a last entry len(states)
 }
 
-// coveringSeeds returns every distinct partition of a chain of n cells
-// into b non-empty intervals that a seed of l's register produces, each
-// with its smallest seed, plus the arena holding each partition's first
-// b−1 interval lengths (they fix all b cuts; the last is always n).
-//
-// Instead of clocking a fresh register through Lengths for every seed, it
-// walks each cycle of the register's state graph once. With a constant
-// term the feedback map permutes the 2^d − 1 nonzero states, so they fall
-// into disjoint cycles (exactly one for a primitive polynomial). When seed
-// s sits at position p of a cycle of length L, Lengths takes reading i
-// after i·k clocks, from the state at position (p + i·k) mod L: every
-// seed's readings are the stored cycle's states k apart, masked to k bits.
-func coveringSeeds(l *lfsr.LFSR, k, n, b int) ([]seedCand, []uint32) {
+// walkCycles steps l through every cycle of its state graph once.
+func walkCycles(l *lfsr.LFSR) stateCycles {
 	total := uint64(1)<<uint(l.Degree()) - 1
-	states := make([]uint32, 0, total) // every cycle, laid end to end
+	cy := stateCycles{states: make([]uint32, 0, total), starts: []int{0}}
 	visited := make([]uint64, total/64+1)
-	// The same reading arithmetic as Lengths, which clocks max(k, 0)
-	// times between readings.
-	stride := max(k, 0)
-	mask := uint64(1)<<uint(k) - 1
-	full := 1 << uint(k)
-	var (
-		cands []seedCand
-		keys  []uint32
-		dedup = keyTable{heads: make(map[uint64]int32)}
-		key   = make([]uint32, 0, max(b-1, 0))
-	)
-	for start := uint64(1); start <= total; start++ {
+	for start := uint64(1); uint64(len(cy.states)) < total; start++ {
 		if visited[start/64]>>(start%64)&1 != 0 {
 			continue
 		}
-		base := len(states)
 		_ = l.Seed(start) // nonzero and within the register width
 		for s := start; ; {
 			visited[s/64] |= 1 << (s % 64)
-			states = append(states, uint32(s))
+			cy.states = append(cy.states, uint32(s))
 			l.Step()
 			if s = l.State(); s == start {
 				break
 			}
 		}
-		cycle := states[base:]
-		step := stride % len(cycle)
-	seeds:
-		for p, s := range cycle {
-			key = key[:0]
-			sum, maxLen, j := 0, 0, p
-			for i := 0; i < b; i++ {
-				if sum >= n {
-					continue seeds // interval i would be empty
-				}
-				v := int(uint64(cycle[j]) & mask)
-				if v == 0 {
-					v = full
-				}
-				if i < b-1 {
-					key = append(key, uint32(v))
-					maxLen = max(maxLen, v)
-				} else {
-					maxLen = max(maxLen, n-sum)
-				}
-				sum += v
-				if j += step; j >= len(cycle) {
-					j -= len(cycle)
-				}
-			}
-			if sum < n {
-				continue
-			}
-			if c, ok := dedup.find(key, keys, cands); ok {
-				cands[c].seed = min(cands[c].seed, uint64(s))
-				continue
-			}
-			dedup.add(key, len(cands))
-			cands = append(cands, seedCand{seed: uint64(s), maxLen: maxLen, key: len(keys)})
-			keys = append(keys, key...)
-		}
+		cy.starts = append(cy.starts, len(cy.states))
 	}
-	return cands, keys
+	return cy
 }
 
-// keyTable indexes coveringSeeds' candidates by their interval lengths
-// without a string key per candidate: a hash maps to the newest candidate
-// with that hash, and next chains the older ones.
+// coveringSeeds returns a key maxLen<<32 | pos for every seed of the
+// register whose b interval lengths, read k bits wide, cover a chain of n
+// cells in b non-empty intervals. pos is the seed's offset in cy.states,
+// and maxLen the longest interval, the last truncated at the chain end.
+//
+// Instead of clocking a fresh register through Lengths for every seed, it
+// reads the stored cycles. When seed s sits at position p of a cycle of
+// length L, Lengths takes reading i after i·k clocks, from the state at
+// position (p + i·k) mod L: every seed's readings are the stored cycle's
+// states k apart, masked to k bits.
+//
+// Stepping k positions splits a cycle into gcd(k mod L, L) stride orbits,
+// and along an orbit the readings of consecutive seeds are windows of b
+// readings that share b−1 of them. A running sum of the window's first b−1
+// readings, S(b−1), then answers the coverage test S(b−1) < n ≤ S(b) in
+// O(1) per seed, and only covering seeds pay O(b) for their maxLen.
+func coveringSeeds(cy stateCycles, k, n, b int) []uint64 {
+	mask := uint32(1)<<uint(k) - 1
+	full := 1 << uint(k)
+	var keys []uint64
+	for c := 0; c+1 < len(cy.starts); c++ {
+		base := cy.starts[c]
+		cycle := cy.states[base:cy.starts[c+1]]
+		size := len(cycle)
+		step := k % size
+		read := func(p int) int {
+			if v := int(cycle[p] & mask); v != 0 {
+				return v
+			}
+			return full
+		}
+		next := func(p int) int {
+			if p += step; p >= size {
+				p -= size
+			}
+			return p
+		}
+		orbits := gcd(step, size)
+		orbitLen := size / orbits
+		for o := 0; o < orbits; o++ {
+			// p is the seed's position, last that of its b-th reading,
+			// and sum the total of its first b−1 readings.
+			p, last, sum := o, o, 0
+			for i := 0; i < b-1; i++ {
+				sum += read(last)
+				last = next(last)
+			}
+			for t := 0; t < orbitLen; t++ {
+				in := read(last)
+				if sum < n && sum+in >= n {
+					maxLen := n - sum
+					for i, q := 0, p; i < b-1; i++ {
+						maxLen = max(maxLen, read(q))
+						q = next(q)
+					}
+					keys = append(keys, uint64(maxLen)<<32|uint64(base+p))
+				}
+				sum += in - read(p)
+				p, last = next(p), next(last)
+			}
+		}
+	}
+	return keys
+}
+
+// balancedPool returns the up to maxPool most balanced distinct partitions
+// among the covering seeds' keys, ranked by (maxLen, seed): each
+// partition's smallest seed, and its b cut positions at
+// bounds[c·b : (c+1)·b].
+//
+// In that order the first seed met of each partition is its smallest,
+// since all seeds of one partition share its maxLen, and the first maxPool
+// partitions met are the pool. Deduplication stops there instead of
+// indexing every covering seed.
+func balancedPool(cy stateCycles, keys []uint64, k, n, b, maxPool int) (pool []uint64, bounds []int) {
+	slices.Sort(keys) // by maxLen; ties by position, sorted by seed below
+	seedOf := func(key uint64) uint32 { return cy.states[uint32(key)] }
+	size := min(maxPool, len(keys))
+	pool, bounds = make([]uint64, 0, size), make([]int, 0, size*b)
+	dedup := keyTable{heads: make(map[uint64]int32, size), next: make([]int32, 0, size)}
+	for lo := 0; lo < len(keys) && len(pool) < maxPool; {
+		hi := lo + 1
+		for hi < len(keys) && keys[hi]>>32 == keys[lo]>>32 {
+			hi++
+		}
+		level := keys[lo:hi]
+		slices.SortFunc(level, func(x, y uint64) int { return cmp.Compare(seedOf(x), seedOf(y)) })
+		for _, key := range level {
+			if len(pool) == maxPool {
+				break
+			}
+			c := len(pool)
+			bounds = bounds[:(c+1)*b] // within the capacity, as c < size
+			cuts := bounds[c*b:]
+			cy.cuts(int(uint32(key)), k, n, cuts)
+			if dedup.find(cuts[:b-1], bounds, b) {
+				bounds = bounds[:c*b]
+				continue
+			}
+			dedup.add(cuts[:b-1], c)
+			pool = append(pool, uint64(seedOf(key)))
+		}
+		lo = hi
+	}
+	return pool, bounds
+}
+
+// cuts stores the cut positions of the len(cuts) intervals that the seed
+// at offset pos of cy.states reads, k bits wide, the last at the chain
+// end n.
+func (cy stateCycles) cuts(pos, k, n int, cuts []int) {
+	c, _ := slices.BinarySearch(cy.starts, pos+1)
+	base, size := cy.starts[c-1], cy.starts[c]-cy.starts[c-1]
+	step, p, at := k%size, pos-base, 0
+	for j := range cuts {
+		v := int(cy.states[base+p] & (1<<uint(k) - 1))
+		if v == 0 {
+			v = 1 << uint(k)
+		}
+		at += v
+		cuts[j] = at
+		if p += step; p >= size {
+			p -= size
+		}
+	}
+	cuts[len(cuts)-1] = n
+}
+
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
+// keyTable indexes FindSeeds' pool by its partitions' cuts without a
+// string key per partition: a hash maps to the newest partition with that
+// hash, and next chains the older ones.
 type keyTable struct {
 	heads map[uint64]int32
-	next  []int32 // next[c]: older candidate with c's hash, or −1
+	next  []int32 // next[c]: older partition with c's hash, or −1
 }
 
-// find returns the candidate whose lengths equal key.
-func (t *keyTable) find(key, keys []uint32, cands []seedCand) (int, bool) {
+// find reports whether a partition in bounds, stride entries apart, starts
+// with the cuts key.
+func (t *keyTable) find(key, bounds []int, stride int) bool {
 	c, ok := t.heads[hashKey(key)]
 	if !ok {
-		return 0, false
+		return false
 	}
 	for ; c >= 0; c = t.next[c] {
-		off := cands[c].key
-		if slices.Equal(keys[off:off+len(key)], key) {
-			return int(c), true
+		off := int(c) * stride
+		if slices.Equal(bounds[off:off+len(key)], key) {
+			return true
 		}
 	}
-	return 0, false
+	return false
 }
 
-// add records candidate c, whose lengths are key.
-func (t *keyTable) add(key []uint32, c int) {
+// add records partition c, whose cuts start with key.
+func (t *keyTable) add(key []int, c int) {
 	h := hashKey(key)
 	prev, ok := t.heads[h]
 	if !ok {
@@ -489,8 +549,8 @@ func (t *keyTable) add(key []uint32, c int) {
 	t.next = append(t.next, prev)
 }
 
-// hashKey mixes the lengths FNV-1a style, one word at a time.
-func hashKey(key []uint32) uint64 {
+// hashKey mixes the cuts FNV-1a style, one word at a time.
+func hashKey(key []int) uint64 {
 	h := uint64(14695981039346656037)
 	for _, v := range key {
 		h ^= uint64(v)
@@ -519,6 +579,9 @@ func (s Interval) Partitions(n, b, k int) ([]Partition, error) {
 		return nil, err
 	}
 	s = s.withDefaults(n, b)
+	if d := s.Poly.Degree(); s.LenBits < 1 || s.LenBits > d {
+		return nil, fmt.Errorf("partition: interval length field %d outside [1, %d], the LFSR degree", s.LenBits, d)
+	}
 	seeds := s.Seeds
 	if len(seeds) == 0 {
 		var err error

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -165,6 +166,38 @@ func TestFindSeedsExhaustion(t *testing.T) {
 	// Length field wider than the register is rejected.
 	if _, err := FindSeeds(poly, 9, 10, 2, 1); err == nil {
 		t.Error("oversized length field accepted")
+	}
+}
+
+// TestIntervalLenBitsBound: the length field is read from the register,
+// so a width outside [1, degree] is refused before any seed is searched or
+// clocked, for searched and explicit seeds alike. A width of 2^24 would
+// otherwise clock the register 2^24 times per interval.
+func TestIntervalLenBitsBound(t *testing.T) {
+	for _, poly := range []lfsr.Poly{0, lfsr.MustPrimitivePoly(8)} {
+		d := 16
+		if poly != 0 {
+			d = poly.Degree()
+		}
+		for _, lenBits := range []int{-1, -64, d + 1, 1 << 24, 1<<32 - 1} {
+			for _, seeds := range [][]uint64{nil, {0xACE1, 0x1234}} {
+				s := Interval{Poly: poly, LenBits: lenBits, Seeds: seeds}
+				_, err := s.Partitions(100, 8, 2)
+				if err == nil || !strings.Contains(err.Error(), "length field") {
+					t.Errorf("degree %d, LenBits %d, seeds %#x: err = %v, want the length-field error", d, lenBits, seeds, err)
+				}
+			}
+		}
+		// The bounds themselves are widths the register can read.
+		for _, lenBits := range []int{1, d} {
+			s := Interval{Poly: poly, LenBits: lenBits, Seeds: []uint64{0xA5}}
+			if _, err := s.Partitions(1, 1, 1); err != nil {
+				t.Errorf("degree %d, LenBits %d: %v", d, lenBits, err)
+			}
+		}
+	}
+	if _, err := FindSeeds(lfsr.MustPrimitivePoly(8), 0, 10, 2, 1); err == nil {
+		t.Error("FindSeeds accepted a zero-bit length field")
 	}
 }
 

@@ -127,12 +127,11 @@ func CollapseFaults(c *circuit.Circuit, faults []Fault) []Fault {
 			*slot = int32(i)
 		}
 	}
-	parent := make([]int, len(faults))
+	parent := make([]int32, len(faults))
 	for i := range parent {
-		parent[i] = i
+		parent[i] = int32(i)
 	}
-	var find func(int) int
-	find = func(x int) int {
+	find := func(x int32) int32 {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
@@ -143,7 +142,7 @@ func CollapseFaults(c *circuit.Circuit, faults []Fault) []Fault {
 		if ia < 0 || ib < 0 {
 			return
 		}
-		ra, rb := find(int(ia)), find(int(ib))
+		ra, rb := find(ia), find(ib)
 		if ra != rb {
 			// Prefer the earlier (stem) fault as representative.
 			if ra < rb {
@@ -195,9 +194,17 @@ func CollapseFaults(c *circuit.Circuit, faults []Fault) []Fault {
 		}
 	}
 
-	var out []Fault
+	// The class representatives are the roots; count them, then copy them
+	// out in list order into a slice of exactly that size.
+	roots := 0
+	for i, p := range parent {
+		if p == int32(i) {
+			roots++
+		}
+	}
+	out := make([]Fault, 0, roots)
 	for i, f := range faults {
-		if find(i) == i {
+		if parent[i] == int32(i) {
 			out = append(out, f)
 		}
 	}

@@ -122,6 +122,9 @@ func checkCollapse(t *testing.T, name string, c *circuit.Circuit, faults []Fault
 		t.Fatalf("%s: CollapseFaults kept %d faults, map reference %d (first difference at %d)",
 			name, len(got), len(want), firstDiff(got, want))
 	}
+	if cap(got) != len(got) {
+		t.Fatalf("%s: CollapseFaults returned %d faults in a slice of capacity %d, want it sized exactly", name, len(got), cap(got))
+	}
 }
 
 func firstDiff(a, b []Fault) int {
