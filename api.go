@@ -86,8 +86,8 @@ type (
 	// unbounded. Set Options.CacheBudget, or call SetBudget on the cache.
 	CacheBudget = pipeline.Budget
 	// WorkerError is a panic recovered inside a diagnosis worker,
-	// reported as a typed error (job index, batch lane, fault, panic
-	// value, stack) instead of crashing the process.
+	// reported as a typed error (job index, lane, fault, panic value,
+	// stack) instead of crashing the process.
 	WorkerError = pipeline.WorkerError
 	// Completeness labels a partial (deadline-degraded) result with how
 	// much of the scheduled work it observed.

@@ -95,8 +95,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	})
 
 	// The run is cancellable two ways: a -timeout deadline and Ctrl-C.
-	// Either stops the fault sweeps at batch granularity, drains in-flight
-	// work, and keeps every experiment that completed (exit status 0).
+	// Either stops the fault sweeps between faults, drains in-flight work,
+	// and keeps every experiment that completed (exit status 0).
 	return c.Run(args, func(ctx context.Context) error {
 		// One artifact cache spans every experiment of the invocation, so
 		// drivers revisiting a circuit (or plan) reuse its build artifacts;

@@ -35,7 +35,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	plan := c.PlanFlags()
 	sample := c.SampleFlags()
 	workers := c.WorkersFlag()
-	lanes := c.LanesFlag()
 	drcCheck := c.DRCFlag()
 	c.TimeoutFlag()
 	c.ProfileFlags()
@@ -93,7 +92,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Chains:        *chains,
 			Ideal:         *ideal,
 			Workers:       *workers,
-			Lanes:         *lanes,
 			Noise:         model,
 			Retry:         bist.RetryPolicy{MaxRetries: *retries},
 			VoteThreshold: *vote,
@@ -137,8 +135,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if c.Sharded() {
 			// Sharded run: identical per-fault verdicts and study aggregates,
 			// merged slot-major from the workers' deltas, so stdout below is
-			// byte-identical to the in-process sweep (the batch-plan "sched:"
-			// line, which legitimately differs, is verbose-only).
+			// byte-identical to the in-process sweep.
 			co, err := c.Dial(ctx, *verbose)
 			if err != nil {
 				return err
@@ -154,11 +151,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cost := b.Cost()
 		fmt.Fprintf(w, "cost:     %d sessions, %d shift clocks total, %d golden-signature bits, %d selection-register bits\n",
 			cost.Sessions, cost.TotalClocks, cost.SignatureBits, cost.SelectionRegisterBits)
-		if *verbose {
-			// Verbose-only so default stdout stays byte-identical between cold
-			// and warm runs (the CI warm-start check diffs it).
-			fmt.Fprintf(w, "sched:    %d fault batches, %.1f%% lane fill\n", study.PlanBatches, 100*study.PlanFill)
-		}
 		fmt.Fprintf(w, "\nfaults:    %d sampled, %d diagnosed, %d undetected by scan cells\n",
 			len(faults), study.Diagnosed, study.Undetected)
 		if !study.Completeness.Complete() {

@@ -34,7 +34,7 @@ func TestGolden(t *testing.T) {
 		{Name: "timeout", Args: []string{"-timeout", "-1s"}, Exit: 2},
 		{Name: "cachemb", Args: []string{"-cachemb", "-1"}, Exit: 2},
 		{Name: "cachemb-big", Args: []string{"-cachemb", "2000000"}, Exit: 2},
-		{Name: "lanes", Args: []string{"-lanes", "999"}, Exit: 2},
+		{Name: "lanes", Args: []string{"-lanes", "999"}, Exit: 2, Stderr: `flag provided but not defined: -lanes`},
 		{Name: "order", Args: []string{"-order", "bogus"}, Exit: 2},
 		{Name: "noise", Args: []string{"-intermittent", "2"}, Exit: 2},
 		{Name: "flip-nan", Args: []string{"-circuit", "s298", "-flip", "NaN", "-abort", "0.02"}, Exit: 2, Stderr: `^scandiag: noise: flip probability NaN outside \[0, 1\]`},

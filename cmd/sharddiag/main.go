@@ -128,7 +128,6 @@ func coordinate(args []string, stdout, stderr io.Writer) int {
 	circ := c.CircuitFlags("", true)
 	plan := c.PlanFlags()
 	sample := c.SampleFlags()
-	lanes := c.LanesFlag()
 	c.TimeoutFlag()
 	c.ShardFlags()
 	var (
@@ -162,7 +161,6 @@ func coordinate(args []string, stdout, stderr io.Writer) int {
 			Partitions: plan.Partitions,
 			Patterns:   plan.Patterns,
 			Chains:     *chains,
-			Lanes:      *lanes,
 		}
 		co, err := c.Dial(ctx, *verbose)
 		if err != nil {

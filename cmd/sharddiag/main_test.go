@@ -22,7 +22,7 @@ func TestGolden(t *testing.T) {
 		{Name: "soc-excludes", Args: []string{"coordinate", "-connect", "$ADDR", "-soc", "socmini", "-circuit", "s953"}, Exit: 2},
 		{Name: "groups", Args: []string{"coordinate", "-connect", "$ADDR", "-circuit", "s953", "-groups", "0"}, Exit: 2},
 		{Name: "faults", Args: []string{"coordinate", "-connect", "$ADDR", "-circuit", "s953", "-faults", "0"}, Exit: 2},
-		{Name: "lanes", Args: []string{"coordinate", "-connect", "$ADDR", "-circuit", "s953", "-lanes", "999"}, Exit: 2},
+		{Name: "lanes", Args: []string{"coordinate", "-connect", "$ADDR", "-circuit", "s953", "-lanes", "999"}, Exit: 2, Stderr: `flag provided but not defined: -lanes`},
 		{Name: "scheme", Args: []string{"coordinate", "-connect", "$ADDR", "-circuit", "s953", "-scheme", "bogus"}, Exit: 2},
 		{Name: "shards", Args: []string{"coordinate", "-connect", "$ADDR", "-circuit", "s953", "-faults", "200", "-shards", "-1"}, Exit: 2},
 		{Name: "serve-workers", Args: []string{"serve", "-workers", "-1"}, Exit: 2},

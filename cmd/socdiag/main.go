@@ -31,7 +31,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	plan := c.PlanFlags()
 	sample := c.SampleFlags()
 	workers := c.WorkersFlag()
-	lanes := c.LanesFlag()
 	drcCheck := c.DRCFlag()
 	c.TimeoutFlag()
 	c.ProfileFlags()
@@ -103,7 +102,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Patterns:   plan.Patterns,
 			Chains:     *chains,
 			Workers:    *workers,
-			Lanes:      *lanes,
 			StrictDRC:  *drcCheck,
 			Cache:      cache,
 		}

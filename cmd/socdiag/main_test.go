@@ -21,7 +21,7 @@ func TestGolden(t *testing.T) {
 		{Name: "chains", Args: []string{"-chains", "-1"}, Exit: 2},
 		{Name: "faults", Args: []string{"-faults", "0"}, Exit: 2},
 		{Name: "workers", Args: []string{"-workers", "-1"}, Exit: 2},
-		{Name: "lanes", Args: []string{"-lanes", "300"}, Exit: 2},
+		{Name: "lanes", Args: []string{"-lanes", "300"}, Exit: 2, Stderr: `flag provided but not defined: -lanes`},
 		{Name: "timeout", Args: []string{"-timeout", "-1s"}, Exit: 2},
 		{Name: "cachemb", Args: []string{"-cachemb", "-1"}, Exit: 2},
 		{Name: "soc", Args: []string{"-soc", "3"}, Exit: 2, Stderr: `^socdiag: unknown SOC 3`},

@@ -197,9 +197,10 @@ func (c *Cmd) WorkersFlag() *int {
 	return c.IntFlag("workers", 0, 0, "goroutines per fault sweep (0 = all CPUs, 1 = serial; results are identical)")
 }
 
-// LanesFlag registers -lanes, bounded by the widest batch kernel.
+// LanesFlag registers -lanes, the lane cap of batch-kernel sweeps,
+// bounded by the widest batch kernel.
 func (c *Cmd) LanesFlag() *int {
-	p := c.Flags.Int("lanes", 0, "fault lanes per batch, 1-256 (0 = engine default 256; above 64 engages the wide-word kernel)")
+	p := c.Flags.Int("lanes", 0, "fault lanes per transition-fault batch, 1-256 (0 = engine default 256; above 64 engages the wide-word kernel)")
 	c.Check(func() error {
 		if *p < 0 || *p > sim.MaxBatchLanes {
 			return fmt.Errorf("-lanes %d out of range 0..%d", *p, sim.MaxBatchLanes)

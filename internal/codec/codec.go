@@ -96,10 +96,12 @@ const (
 	// of a message differs refuse each other at its first frame.
 	// VersionShardJob 2: the transition job kind and its fault-list count
 	// left the payload, so a version-1 worker refuses a version-2 job
-	// instead of misparsing it.
+	// instead of misparsing it. VersionShardJob 3: the lane-cap knob left
+	// the payload. VersionShardResult 2: the batch-schedule counters left
+	// the payload.
 	VersionShardHello    uint16 = 1
-	VersionShardJob      uint16 = 2
-	VersionShardResult   uint16 = 1
+	VersionShardJob      uint16 = 3
+	VersionShardResult   uint16 = 2
 	VersionShardError    uint16 = 1
 	VersionShardProgress uint16 = 1
 )

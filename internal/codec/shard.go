@@ -92,7 +92,6 @@ type WireKnobs struct {
 	NoiseSeed         uint64
 	MaxRetries        uint32
 	VoteThreshold     uint32
-	Lanes             uint32
 }
 
 // JobKind selects which diagnosis flow a shard worker runs. It is a
@@ -174,14 +173,10 @@ type WireChainOutcome struct {
 
 // ShardResult is a worker's complete answer for one job.
 type ShardResult struct {
-	JobID uint64
-	Kind  JobKind
-	// PlanBatches/LaneCap describe the worker's batch schedule so the
-	// coordinator can aggregate scheduler-saturation metrics.
-	PlanBatches uint32
-	LaneCap     uint32
-	Diagnoses   []WireDiagnosis    // JobCircuit, JobSOCCore
-	Chains      []WireChainOutcome // JobChain
+	JobID     uint64
+	Kind      JobKind
+	Diagnoses []WireDiagnosis    // JobCircuit, JobSOCCore
+	Chains    []WireChainOutcome // JobChain
 }
 
 // ShardError reports a failed job. Transient failures (cache races,
@@ -265,7 +260,6 @@ func (w *writer) knobs(k WireKnobs) {
 	w.u64(k.NoiseSeed)
 	w.u32(k.MaxRetries)
 	w.u32(k.VoteThreshold)
-	w.u32(k.Lanes)
 }
 
 // EncodeShardHello seals a worker greeting.
@@ -304,8 +298,6 @@ func EncodeShardResult(r *ShardResult) []byte {
 	var w writer
 	w.u64(r.JobID)
 	w.u8(uint8(r.Kind))
-	w.u32(r.PlanBatches)
-	w.u32(r.LaneCap)
 	w.u32(uint32(len(r.Diagnoses)))
 	for i := range r.Diagnoses {
 		w.diagnosis(&r.Diagnoses[i])
@@ -446,7 +438,6 @@ func (r *reader) knobs() WireKnobs {
 	k.NoiseSeed = r.u64()
 	k.MaxRetries = r.u32()
 	k.VoteThreshold = r.u32()
-	k.Lanes = r.u32()
 	return k
 }
 
@@ -523,8 +514,6 @@ func DecodeShardResult(data []byte) (*ShardResult, error) {
 	var res ShardResult
 	res.JobID = r.u64()
 	res.Kind = JobKind(r.u8())
-	res.PlanBatches = r.u32()
-	res.LaneCap = r.u32()
 	if n := r.count(1); n > 0 {
 		res.Diagnoses = make([]WireDiagnosis, n)
 		for i := range res.Diagnoses {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -37,7 +38,7 @@ func sampleShardJob() *codec.ShardJob {
 		},
 		Knobs: codec.WireKnobs{
 			NoiseIntermittent: 0.25, NoiseFlip: 0.01, NoiseAbort: 0.005,
-			NoiseSeed: 11, MaxRetries: 3, VoteThreshold: 2, Lanes: 64,
+			NoiseSeed: 11, MaxRetries: 3, VoteThreshold: 2,
 		},
 		FaultHash: "deadbeef",
 		Faults: []codec.WireFault{
@@ -98,7 +99,7 @@ func TestShardWireRoundTrip(t *testing.T) {
 	}
 
 	res := &codec.ShardResult{
-		JobID: 7, Kind: codec.JobSOCCore, PlanBatches: 3, LaneCap: 64,
+		JobID: 7, Kind: codec.JobSOCCore,
 		Diagnoses: []codec.WireDiagnosis{
 			{
 				Index: 10, Detected: true,
@@ -191,20 +192,50 @@ func TestShardJobVersion1Rejected(t *testing.T) {
 	v1 := append([]byte(nil), payload[:cut]...)
 	v1 = binary.LittleEndian.AppendUint32(v1, 0)
 	v1 = append(v1, payload[cut:]...)
-	old := make([]byte, 0, 16+len(v1)+sha256.Size)
-	old = append(old, env[:16]...)
-	binary.LittleEndian.PutUint16(old[6:], 1)
-	binary.LittleEndian.PutUint64(old[8:], uint64(len(v1)))
-	old = append(old, v1...)
-	sum := sha256.Sum256(old)
-	old = append(old, sum[:]...)
-	if _, err := codec.Inspect(old); err != nil {
-		t.Fatalf("hand-sealed frame is not a valid envelope: %v", err)
-	}
-	_, err := codec.DecodeShardJob(old)
-	if err == nil || !strings.Contains(err.Error(), "version 1, want 2") {
+	_, err := codec.DecodeShardJob(reseal(t, env, 1, v1))
+	if want := fmt.Sprintf("version 1, want %d", codec.VersionShardJob); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("version-1 job: err = %v, want the version error", err)
 	}
+}
+
+// TestShardFramesPreviousVersionRejected: the job and result frames
+// whose lane-cap knob and batch-schedule counters were removed must
+// refuse a frame sealed at their previous revision instead of
+// misparsing its payload.
+func TestShardFramesPreviousVersionRejected(t *testing.T) {
+	job := codec.EncodeShardJob(sampleShardJob())
+	res := codec.EncodeShardResult(sampleChainResult())
+	for _, tc := range []struct {
+		name    string
+		env     []byte
+		version uint16
+		decode  func([]byte) error
+	}{
+		{"job", job, codec.VersionShardJob, func(b []byte) error { _, err := codec.DecodeShardJob(b); return err }},
+		{"result", res, codec.VersionShardResult, func(b []byte) error { _, err := codec.DecodeShardResult(b); return err }},
+	} {
+		prev := tc.version - 1
+		err := tc.decode(reseal(t, tc.env, prev, tc.env[16:len(tc.env)-sha256.Size]))
+		if want := fmt.Sprintf("version %d, want %d", prev, tc.version); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s at version %d: err = %v, want the version error", tc.name, prev, err)
+		}
+	}
+}
+
+// reseal seals payload under env's header at another format version.
+func reseal(t *testing.T, env []byte, version uint16, payload []byte) []byte {
+	t.Helper()
+	out := make([]byte, 0, 16+len(payload)+sha256.Size)
+	out = append(out, env[:16]...)
+	binary.LittleEndian.PutUint16(out[6:], version)
+	binary.LittleEndian.PutUint64(out[8:], uint64(len(payload)))
+	out = append(out, payload...)
+	sum := sha256.Sum256(out)
+	out = append(out, sum[:]...)
+	if _, err := codec.Inspect(out); err != nil {
+		t.Fatalf("hand-sealed frame is not a valid envelope: %v", err)
+	}
+	return out
 }
 
 func TestFrameRoundTrip(t *testing.T) {

@@ -18,8 +18,7 @@ import (
 
 // countdownCtx is a deterministic cancellable context: Err returns nil
 // for the first allotted calls and context.Canceled from then on, and
-// Done is non-nil (which is what marks the context cancellable to
-// sweepOptions and sim.RunBatchContext). Counting Err polls instead of
+// Done is non-nil, as for any cancellable context. Counting Err polls instead of
 // arming a wall-clock deadline makes every cancellation point in these
 // tests reproducible; calls counts total polls so a test can measure a
 // full run and then budget a fraction of it — the deterministic analogue
@@ -51,7 +50,7 @@ func (c *countdownCtx) Err() error {
 }
 
 // runFull collects a full sweep under a cancellable-but-never-cancelled
-// context, so the partial runs compare against the same batch packing.
+// context, the reference the partial runs must be a prefix of.
 func runFull(t *testing.T, b *CircuitBench, faults []sim.Fault) (*Study, []*FaultDiagnosis, int) {
 	t.Helper()
 	ctx := newCountdown(1 << 30)
@@ -67,12 +66,12 @@ func runFull(t *testing.T, b *CircuitBench, faults []sim.Fault) (*Study, []*Faul
 }
 
 // TestCancelSweepPartialIsPrefix sweeps the cancellation point across a
-// run: wherever the countdown lands — before the first batch, between
-// kernel blocks inside one, between the lanes of one, or past the end —
-// the partial study must aggregate a bit-for-bit prefix of the full run's
-// per-fault diagnoses and label itself with how far it got. The
-// single-batch cases can only stop partway by cancelling mid-lane, with
-// helpers sharing the batch's lanes when there are several workers.
+// run: wherever the countdown lands — before the first job, between the
+// lanes of one, or past the end — the partial study must aggregate a
+// bit-for-bit prefix of the full run's per-fault diagnoses and label
+// itself with how far it got. The single-batch cases, whose faults fit
+// one job, can only stop partway by cancelling mid-lane, with helpers
+// sharing the job's lanes when there are several workers.
 func TestCancelSweepPartialIsPrefix(t *testing.T) {
 	c := benchgen.MustGenerate("s953")
 	for _, tc := range []struct {
@@ -91,18 +90,14 @@ func TestCancelSweepPartialIsPrefix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			faults := sim.SampleFaults(b.Faults(), 40, 9)
+			faults := sim.SampleFaults(b.Faults(), 3*sweepJob, 9)
 			if tc.singleBatch {
-				faults = singleBatchSample(t, c, faults)
+				faults = singleJobSample(t, faults)
 			}
 			fullStudy, full, fullCalls := runFull(t, b, faults)
-			if tc.singleBatch != (fullStudy.PlanBatches == 1) {
-				t.Fatalf("sweep ran %d batches", fullStudy.PlanBatches)
-			}
 
-			// The cancellable full run packs batches in scan order rather
-			// than cone-aware, but must still aggregate to the identical
-			// study.
+			// The cancellable full run must aggregate to the same study as
+			// the context-free one.
 			if want := b.Run(faults); !reflect.DeepEqual(fullStudy, want) {
 				t.Fatalf("cancellable full sweep %+v differs from context-free run %+v", fullStudy, want)
 			}
@@ -157,14 +152,13 @@ func TestCancelSweepHalfDeadlineS13207(t *testing.T) {
 	c := benchgen.MustGenerate("s13207")
 	o := baseOpts(partition.TwoStep{})
 	o.Workers = 1
-	// Pin a small lane cap so the sweep spans several batches and a
-	// mid-run cancel can land between them as well as between lanes.
-	o.Lanes = 4
 	b, err := NewCircuitBench(c, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	faults := sim.SampleFaults(b.Faults(), 12, 3)
+	// Enough faults for several jobs, so a mid-run cancel can land
+	// between them as well as between lanes.
+	faults := sim.SampleFaults(b.Faults(), 2*sweepJob+8, 3)
 	_, full, fullCalls := runFull(t, b, faults)
 
 	before := runtime.NumGoroutine()

@@ -10,7 +10,6 @@ import (
 	"repro/internal/diagnosis"
 	"repro/internal/pipeline"
 	"repro/internal/sim"
-	"repro/internal/soc"
 )
 
 // This file is the context-aware face of the benches: cancellable fault
@@ -19,20 +18,8 @@ import (
 // lands mid-session. The context-free APIs in core.go are thin wrappers
 // over these with context.Background().
 
-// sweepOptions picks the batch packing for a sweep. A cancellable sweep
-// packs faults in list order (sim.BatchOptions.ScanOrder): the executor
-// claims batch indices monotonically and drains in-flight claims, so the
-// completed diagnoses form a contiguous prefix of the fault list — the
-// partial study is a prefix of the full run, bit for bit. An
-// uncancellable sweep keeps the cone-aware greedy packing, which fills
-// lanes better. The lane cap (Options.Lanes; 0 = engine default) applies
-// either way.
-func sweepOptions(ctx context.Context, o Options) sim.BatchOptions {
-	return sim.BatchOptions{MaxLanes: o.Lanes, ScanOrder: ctx.Done() != nil}
-}
-
 // RunContext is Run with cancellation: on a context deadline or cancel
-// the sweep stops claiming batches and lanes, drains the ones in flight,
+// the sweep stops claiming jobs and lanes, drains the ones in flight,
 // and returns the partial study aggregating the contiguous prefix of
 // faults it finished (Study.Completeness records how far it got)
 // together with ctx's error. A nil error means the study is complete.
@@ -45,12 +32,21 @@ func (b *CircuitBench) RunContext(ctx context.Context, faults []sim.Fault) (*Stu
 func (b *CircuitBench) RunObservedContext(ctx context.Context, faults []sim.Fault, observe func(*FaultDiagnosis)) (*Study, error) {
 	release := b.Opts.Cache.PinCircuit(b.art)
 	defer release()
-	sw := sweep{o: b.Opts, c: b.Circuit, eng: b.art.Engine, diag: b.art.Diag, good: b.art.Good, blocks: b.art.Blocks,
-		fork: func() laneSim {
+	return b.sweep().run(ctx, faults, observe)
+}
+
+// sweep is the bench's fault sweep; every worker simulates on its own
+// fork of the bench's FaultSim.
+func (b *CircuitBench) sweep() sweep {
+	return sweep{o: b.Opts, c: b.Circuit, eng: b.art.Engine, diag: b.art.Diag, good: b.art.Good, blocks: b.art.Blocks,
+		fork: func() faultRun {
 			fs := b.fs.Fork()
-			return &circuitLanes{fs: fs, sc: fs.NewScratch()}
+			sc := fs.NewScratch()
+			return func(f sim.Fault) (*bitset.Set, bool, []*sim.Response) {
+				res := fs.RunInto(f, sc)
+				return res.FailingCells, res.Detected(), res.Faulty
+			}
 		}}
-	return sw.run(ctx, faults, observe)
 }
 
 // RunCoreContext is RunCore with cancellation; semantics mirror
@@ -66,19 +62,34 @@ func (b *SOCBench) RunCoreContext(ctx context.Context, core int, faults []sim.Fa
 func (b *SOCBench) RunCoreObservedContext(ctx context.Context, core int, faults []sim.Fault, observe func(*FaultDiagnosis)) (*Study, error) {
 	release := b.Opts.Cache.PinSOC(b.art)
 	defer release()
-	sw := sweep{o: b.Opts, c: b.SOC.Cores[core].Circuit, eng: b.art.Engine, diag: b.art.Diag, good: b.fs.Good(), blocks: b.fs.Blocks(),
-		fork: func() laneSim {
-			fs := b.fs.Fork()
-			return &socLanes{fs: fs, core: core, sc: fs.NewScratch()}
-		}}
-	return sw.run(ctx, faults, observe)
+	return b.sweep(core).run(ctx, faults, observe)
 }
 
+// sweep is the bench's sweep over faults of one core; every worker
+// simulates on its own fork of the bench's SOC FaultSim.
+func (b *SOCBench) sweep(core int) sweep {
+	return sweep{o: b.Opts, c: b.SOC.Cores[core].Circuit, eng: b.art.Engine, diag: b.art.Diag, good: b.fs.Good(), blocks: b.fs.Blocks(),
+		fork: func() faultRun {
+			fs := b.fs.Fork()
+			sc := fs.NewScratch()
+			return func(f sim.Fault) (*bitset.Set, bool, []*sim.Response) {
+				res := fs.RunInto(core, f, sc)
+				return res.FailingCells, res.Detected(), res.Faulty
+			}
+		}}
+}
+
+// sweepJob is the number of consecutive faults in one RunLanes job of a
+// sweep. A job has no shared head work, so the size only sets how often
+// a worker takes the scheduler's lock and how many faults a helper can
+// share in the last jobs; 64 keeps both small against a fault's
+// diagnosis.
+const sweepJob = 64
+
 // sweep is the one fault-sweep body behind the circuit and SOC benches:
-// the faults of netlist c are packed into a batch plan, each batch runs
-// the kernel once on the worker that claimed it, and its lanes — one
-// materialization and diagnosis per fault — fan out over every worker
-// with no batch left to claim (pipeline.RunLanes).
+// the fault list is cut into runs of sweepJob faults in list order, and
+// every fault — one event-driven simulation and one diagnosis — is a
+// lane that any worker may run (pipeline.RunLanes).
 type sweep struct {
 	o      Options
 	c      *circuit.Circuit // the netlist the faults live in
@@ -87,111 +98,56 @@ type sweep struct {
 	good   []*sim.Response
 	blocks []*sim.Block
 	// fork builds one worker's simulator view.
-	fork func() laneSim
+	fork func() faultRun
 }
 
-// laneSim is one worker's view of the fault simulator a sweep runs on: a
-// fork of a circuit's FaultSim, or of an SOC's restricted to one core.
-type laneSim interface {
-	newBatchScratch(p *sim.BatchPlan) *sim.BatchScratch
-	runBatch(ctx context.Context, cb *sim.CompiledBatch, bs *sim.BatchScratch) error
-	// materialize reads lane k of a batch run into bs — possibly another
-	// worker's — into this worker's own scratch.
-	materialize(bs *sim.BatchScratch, k int) (f sim.Fault, actual *bitset.Set, detected bool, faulty []*sim.Response)
-}
+// faultRun simulates one fault on a worker's own fork of the event
+// engine — a circuit's FaultSim, or an SOC's restricted to one core. The
+// returned cells and responses alias the worker's scratch and are valid
+// until its next call.
+type faultRun func(f sim.Fault) (actual *bitset.Set, detected bool, faulty []*sim.Response)
 
 func (sw sweep) run(ctx context.Context, faults []sim.Fault, observe func(*FaultDiagnosis)) (*Study, error) {
 	results := make([]*FaultDiagnosis, len(faults))
-	plan := sw.o.Cache.Plan(sw.c, faults, sweepOptions(ctx, sw.o))
 	ex := pipeline.Executor{Workers: sw.o.Workers, Retry: sw.o.Retry.Policy()}
-	err := pipeline.RunLanes(ctx, ex, len(plan.Batches), func() pipeline.LaneJob[*sim.BatchScratch] {
-		ls := sw.fork()
+	jobs := (len(faults) + sweepJob - 1) / sweepJob
+	// A job's handle is the list index of its first fault.
+	err := pipeline.RunLanes(ctx, ex, jobs, func() pipeline.LaneJob[int] {
+		run := sw.fork()
 		w := newDiagWorker(sw.o, sw.eng, sw.diag, sw.good, sw.blocks)
-		// The batch scratch is this worker's own kernel output; a worker
-		// that only ever helps with other workers' lanes never needs one.
-		var own *sim.BatchScratch
-		return pipeline.LaneJob[*sim.BatchScratch]{
-			Head: func(pi int) (*sim.BatchScratch, int, error) {
-				if own == nil {
-					own = ls.newBatchScratch(plan)
-				}
-				cb := plan.Batches[pi]
-				if err := ls.runBatch(ctx, cb, own); err != nil {
-					return nil, 0, err
-				}
-				return own, len(cb.Index), nil
+		return pipeline.LaneJob[int]{
+			Head: func(j int) (int, int, error) {
+				lo := j * sweepJob
+				return lo, min(sweepJob, len(faults)-lo), nil
 			},
-			Lane: func(bs *sim.BatchScratch, pi, k int) error {
-				cb := plan.Batches[pi]
-				defer annotatePanic(k, cb, sw.c)
-				f, actual, detected, faulty := ls.materialize(bs, k)
-				// The sweep's ctx is polled per batch and lane claim; a
-				// lane always observes every partition.
-				results[cb.Index[k]], _ = w.diagnose(context.Background(), f, actual, detected, faulty)
+			Lane: func(lo, _, k int) error {
+				i := lo + k
+				defer annotatePanic(k, faults[i], sw.c)
+				actual, detected, faulty := run(faults[i])
+				// The sweep's ctx is polled per job and lane claim; a lane
+				// always observes every partition.
+				results[i], _ = w.diagnose(context.Background(), faults[i], actual, detected, faulty)
 				return nil
 			},
 		}
 	})
 	// Keep the longest contiguous prefix of completed diagnoses. Results
-	// past the first gap (batches cancelled or abandoned mid-flight) are
+	// past the first gap (jobs cancelled or abandoned mid-flight) are
 	// dropped: a prefix has a clean meaning — "the sweep ran out of time
 	// after fault n" — where a gappy subset does not.
 	if n := slices.Index(results, nil); n >= 0 {
 		clear(results[n:])
 	}
-	study := MergeObserved(sw.o, sw.o.Scheme.Name(), results, observe)
-	study.PlanBatches = len(plan.Batches)
-	study.PlanFill = plan.Fill()
-	return study, err
+	return MergeObserved(sw.o, sw.o.Scheme.Name(), results, observe), err
 }
 
-type circuitLanes struct {
-	fs *sim.FaultSim
-	sc *sim.Scratch
-}
-
-func (l *circuitLanes) newBatchScratch(p *sim.BatchPlan) *sim.BatchScratch {
-	return l.fs.NewBatchScratch(p)
-}
-
-func (l *circuitLanes) runBatch(ctx context.Context, cb *sim.CompiledBatch, bs *sim.BatchScratch) error {
-	return l.fs.RunBatchContext(ctx, cb, bs)
-}
-
-func (l *circuitLanes) materialize(bs *sim.BatchScratch, k int) (sim.Fault, *bitset.Set, bool, []*sim.Response) {
-	res := l.fs.MaterializeBatch(bs, k, l.sc)
-	return res.Fault, res.FailingCells, res.Detected(), res.Faulty
-}
-
-type socLanes struct {
-	fs   *soc.FaultSim
-	core int
-	sc   *soc.Scratch
-}
-
-func (l *socLanes) newBatchScratch(p *sim.BatchPlan) *sim.BatchScratch {
-	return l.fs.NewCoreBatchScratch(l.core, p)
-}
-
-func (l *socLanes) runBatch(ctx context.Context, cb *sim.CompiledBatch, bs *sim.BatchScratch) error {
-	return l.fs.RunBatchContext(ctx, l.core, cb, bs)
-}
-
-func (l *socLanes) materialize(bs *sim.BatchScratch, k int) (sim.Fault, *bitset.Set, bool, []*sim.Response) {
-	res := l.fs.MaterializeBatch(l.core, bs, k, l.sc)
-	return res.Fault, res.FailingCells, res.Detected(), res.Faulty
-}
-
-// annotatePanic re-raises a panic unwinding out of a batch lane wrapped
-// in a pipeline.JobPanic carrying the lane and fault identity, so the
-// executor's WorkerError can report which fault's diagnosis blew up.
-func annotatePanic(lane int, cb *sim.CompiledBatch, c *circuit.Circuit) {
+// annotatePanic re-raises a panic unwinding out of a sweep lane wrapped
+// in a pipeline.JobPanic carrying the lane and the fault's description,
+// so the executor's WorkerError can report which fault's diagnosis blew
+// up.
+func annotatePanic(lane int, f sim.Fault, c *circuit.Circuit) {
 	if r := recover(); r != nil {
-		detail := ""
-		if lane >= 0 && lane < len(cb.Faults) {
-			detail = cb.Faults[lane].Describe(c)
-		}
-		panic(&pipeline.JobPanic{Lane: lane, Detail: detail, Value: r})
+		panic(&pipeline.JobPanic{Lane: lane, Detail: f.Describe(c), Value: r})
 	}
 }
 

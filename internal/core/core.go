@@ -8,9 +8,9 @@
 // The heavy lifting lives in internal/pipeline: a bench borrows an
 // immutable artifact set (patterns, fault-free responses, partitions,
 // golden signatures) — deduplicated by Options.Cache when several benches
-// share a content key — and drives the fault loop over a batched worker
-// pool with per-worker reusable scratch buffers, so the steady-state loop
-// stays allocation-free.
+// share a content key — and drives the fault loop over a worker pool
+// with per-worker reusable scratch buffers, so the steady-state
+// simulation allocates nothing per fault.
 package core
 
 import (
@@ -93,11 +93,10 @@ type Options struct {
 	// sweep installs the limit for every later borrower. Ignored without
 	// a Cache.
 	CacheBudget pipeline.Budget
-	// Lanes caps the faults packed per simulation batch, 1..256. Caps
-	// above 64 engage the wide-word kernel: faults are organised into
-	// 2 or 4 word-parallel planes with per-lane cone masking, trading a
-	// coarser cancellation granularity for higher sweep throughput. Zero
-	// selects the engine default (256).
+	// Lanes is ignored: sweeps simulate one fault at a time on the
+	// event-driven engine and pack no fault batches.
+	//
+	// Deprecated: kept only so that code which still reads it compiles.
 	Lanes int
 	// StrictDRC runs the static design-rule checker (internal/drc) on the
 	// netlist — and, at SOC scope, on every core and the TAM
@@ -140,9 +139,6 @@ func (o Options) validate() error {
 	}
 	if o.VoteThreshold > o.Partitions {
 		return fmt.Errorf("core: vote threshold %d exceeds %d partitions (nothing could ever be pruned)", o.VoteThreshold, o.Partitions)
-	}
-	if o.Lanes < 0 || o.Lanes > sim.MaxBatchLanes {
-		return fmt.Errorf("core: lane cap %d outside 0..%d", o.Lanes, sim.MaxBatchLanes)
 	}
 	return nil
 }
@@ -250,12 +246,6 @@ type Study struct {
 	// contiguous fault prefix it finished; a completed sweep reports
 	// Observed == Scheduled.
 	Completeness diagnosis.Completeness
-	// PlanBatches and PlanFill describe the batch schedule the sweep ran
-	// on: the number of compiled batches and the scheduler-saturation
-	// metric (faults / lane slots; see sim.BatchPlan.Fill). Zero values
-	// mean the sweep never built a batch plan.
-	PlanBatches int
-	PlanFill    float64
 }
 
 func newStudy(o Options, schemeName string) *Study {
@@ -362,7 +352,7 @@ func (b *CircuitBench) Faults() []sim.Fault {
 }
 
 // DiagnoseFault runs the complete flow for one fault: the event-driven
-// simulator and a one-off diagnosis worker. Run batches the simulation
+// simulator and a one-off diagnosis worker. Run spreads the same steps
 // over a worker pool with identical results.
 func (b *CircuitBench) DiagnoseFault(f sim.Fault) *FaultDiagnosis {
 	fd, _ := b.DiagnoseFaultContext(context.Background(), f)
@@ -451,13 +441,15 @@ func (b *CircuitBench) Run(faults []sim.Fault) *Study {
 }
 
 // RunObserved is Run with a per-fault callback, invoked in fault order
-// after all diagnoses complete, for reporting and tracing. The sweep is
-// scheduled through the fault-parallel engine: faults are packed into
-// cone-disjoint batches (sim.PlanBatches), whole batches are distributed
-// over the worker pool, and each member is materialized into the same
-// per-fault responses the event-driven engine produces — so results are
-// identical for every worker count and bit-for-bit identical to the
-// single-fault path.
+// after all diagnoses complete, for reporting and tracing. Each fault is
+// simulated on a worker's fork of the event-driven engine, which
+// evaluates only the fault's cone, and diagnosed there; runs of
+// consecutive faults are handed out over the worker pool, and idle
+// workers share the faults of the runs still in flight
+// (pipeline.RunLanes). Results are identical for every worker count and
+// bit-for-bit identical to the single-fault path. No batch plan is built:
+// a plan pays for itself only when one fault list is swept about seven
+// times (DESIGN.md §7).
 func (b *CircuitBench) RunObserved(faults []sim.Fault, observe func(*FaultDiagnosis)) *Study {
 	study, err := b.RunObservedContext(context.Background(), faults, observe)
 	if err != nil {
@@ -544,9 +536,9 @@ func (b *SOCBench) worker() *diagWorker {
 
 // RunCore diagnoses a set of faults all injected into one core (the
 // paper's one-faulty-core-per-session assumption), using Opts.Workers
-// goroutines. Like CircuitBench.Run, the sweep schedules cone-disjoint
-// fault batches over the pool; each member is materialized into the global
-// meta-chain cell space exactly as the event-driven path would have.
+// goroutines. Like CircuitBench.Run, each fault runs on a worker's fork
+// of the event-driven engine, restricted to the core, and is spliced
+// into the global meta-chain cell space.
 func (b *SOCBench) RunCore(core int, faults []sim.Fault) *Study {
 	study, err := b.RunCoreContext(context.Background(), core, faults)
 	if err != nil {

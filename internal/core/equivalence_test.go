@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -70,9 +71,10 @@ func requireSameDiagnosis(t *testing.T, label string, got, want *FaultDiagnosis)
 	}
 }
 
-// TestPooledRunMatchesReference pins the tentpole invariant: the pooled,
-// batched Run path must reproduce the reference per-fault DiagnoseFault
-// path bit-for-bit, across schemes and with the tester noise model both off
+// TestPooledRunMatchesReference pins the sweep's invariant: the pooled
+// Run path must reproduce the independent per-fault reference
+// (referenceDiagnosis: full-pass simulation and the diagnoseFault oracle)
+// bit-for-bit, across schemes and with the tester noise model both off
 // and on.
 func TestPooledRunMatchesReference(t *testing.T) {
 	c := benchgen.MustGenerate("s953")
@@ -96,8 +98,7 @@ func TestPooledRunMatchesReference(t *testing.T) {
 					t.Fatalf("observed %d diagnoses for %d faults", len(pooled), len(faults))
 				}
 				for i, f := range faults {
-					ref := b.DiagnoseFault(f)
-					requireSameDiagnosis(t, fmt.Sprintf("fault %d (%+v)", i, f), pooled[i], ref)
+					requireSameDiagnosis(t, fmt.Sprintf("fault %d (%+v)", i, f), pooled[i], referenceDiagnosis(b, f))
 				}
 			})
 		}
@@ -174,8 +175,7 @@ func TestCacheHitMatchesCacheMiss(t *testing.T) {
 // TestWarmStartMatchesColdStart pins the persistence tier's correctness
 // contract: a second process (fresh memory cache, same CacheDir) must
 // produce bit-for-bit identical diagnoses while rebuilding nothing — the
-// fault-free simulation layer, cone snapshot, and batch plans all come
-// off disk.
+// fault-free simulation layer comes off disk.
 func TestWarmStartMatchesColdStart(t *testing.T) {
 	c := benchgen.MustGenerate("s953")
 	schemes := []partition.Scheme{partition.Interval{}, partition.TwoStep{}}
@@ -263,7 +263,8 @@ func TestSOCWarmStartMatchesColdStart(t *testing.T) {
 
 // TestSOCPooledMatchesReference is the SOC-level counterpart of
 // TestPooledRunMatchesReference: RunCore's pooled path against the
-// per-fault DiagnoseFault path, with and without noise.
+// independent per-fault reference (referenceSOCDiagnosis), fault by fault
+// and as a study, with and without noise.
 func TestSOCPooledMatchesReference(t *testing.T) {
 	var cores []*soc.Core
 	for _, name := range []string{"s298", "s953", "s526"} {
@@ -286,20 +287,21 @@ func TestSOCPooledMatchesReference(t *testing.T) {
 		const core = 1
 		faults := sim.SampleFaults(b.CoreFaults(core), 30, 17)
 
-		// RunCore has no observe hook; aggregate both paths into Studies and
-		// also spot-check per-fault equality through the reference API.
-		pooled := b.RunCore(core, faults)
+		var fds []*FaultDiagnosis
+		pooled, err := b.RunCoreObservedContext(context.Background(), core, faults, func(fd *FaultDiagnosis) { fds = append(fds, fd) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(fds) != len(faults) {
+			t.Fatalf("noisy=%t: observed %d diagnoses for %d faults", noisy, len(fds), len(faults))
+		}
 		ref := newStudy(o, o.Scheme.Name())
 		for i, f := range faults {
-			fd := b.DiagnoseFault(core, f)
+			fd := referenceSOCDiagnosis(b, core, f)
 			ref.add(fd)
-			again := b.DiagnoseFault(core, f)
-			requireSameDiagnosis(t, fmt.Sprintf("noisy=%t fault %d", noisy, i), again, fd)
+			requireSameDiagnosis(t, fmt.Sprintf("noisy=%t fault %d", noisy, i), fds[i], fd)
 		}
 		ref.Completeness = diagnosis.Completeness{Observed: len(faults), Scheduled: len(faults)}
-		// The per-fault reference path never compiles a batch plan, so the
-		// schedule-shape stats are out of scope for this equivalence check.
-		ref.PlanBatches, ref.PlanFill = pooled.PlanBatches, pooled.PlanFill
 		if !reflect.DeepEqual(pooled, ref) {
 			t.Errorf("noisy=%t: pooled SOC study %+v differs from reference %+v", noisy, pooled, ref)
 		}

@@ -1,9 +1,9 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,46 +11,89 @@ import (
 
 	"repro/internal/benchgen"
 	"repro/internal/bitset"
-	"repro/internal/circuit"
 	"repro/internal/partition"
 	"repro/internal/pipeline"
 	"repro/internal/sim"
 	"repro/internal/soc"
 )
 
-// singleBatchSample returns the longest prefix of faults that the
-// list-order packing of a cancellable sweep puts in one batch, requiring
-// more lanes than one worker's first claim so helpers have some to share.
-func singleBatchSample(t *testing.T, c *circuit.Circuit, faults []sim.Fault) []sim.Fault {
+// singleJobSample returns the longest prefix of faults that a sweep runs
+// as one job, requiring more lanes than one worker's first claim so
+// helpers have some to share.
+func singleJobSample(t *testing.T, faults []sim.Fault) []sim.Fault {
 	t.Helper()
-	n := len(faults)
-	for n > 0 && len(sim.PlanBatches(c, faults[:n], sim.BatchOptions{ScanOrder: true}).Batches) > 1 {
-		n--
+	faults = faults[:min(len(faults), sweepJob)]
+	if len(faults) < 4 {
+		t.Fatalf("only %d faults in the single job", len(faults))
 	}
-	if n < 4 {
-		t.Fatalf("only %d faults fit one batch", n)
-	}
-	return faults[:n]
+	return faults
 }
 
-// checkSingleBatchSweep runs one single-batch sweep at several worker
-// counts — every lane but the owner's first can land on a helper — and
-// requires each per-fault diagnosis to equal the reference DiagnoseFault.
-// The sweeps run under a cancellable context, as the CLIs' sweeps do.
-func checkSingleBatchSweep(t *testing.T, faults []sim.Fault, run func(ctx context.Context, workers int, observe func(*FaultDiagnosis)) (*Study, error), ref func(sim.Fault) *FaultDiagnosis) {
+// helperGate wraps a sweep's per-worker simulator so that the lanes of a
+// single-job sweep provably run on a helper worker: the job's owner — the
+// first worker to build a simulator, since a job's head runs before its
+// lanes are published — waits in its first lane until a helper has
+// started one. onHelper, when set, runs before every helper lane.
+type helperGate struct {
+	built    atomic.Int32
+	helped   atomic.Int32 // lanes run by helpers
+	started  chan struct{}
+	once     sync.Once
+	onHelper func(f sim.Fault)
+}
+
+func newHelperGate() *helperGate { return &helperGate{started: make(chan struct{})} }
+
+func (g *helperGate) wrap(fork func() faultRun) func() faultRun {
+	return func() faultRun {
+		run := fork()
+		if g.built.Add(1) == 1 {
+			return func(f sim.Fault) (*bitset.Set, bool, []*sim.Response) {
+				select {
+				case <-g.started:
+				case <-time.After(10 * time.Second):
+					panic("core: no helper joined the single job")
+				}
+				return run(f)
+			}
+		}
+		return func(f sim.Fault) (*bitset.Set, bool, []*sim.Response) {
+			g.once.Do(func() { close(g.started) })
+			g.helped.Add(1)
+			if g.onHelper != nil {
+				g.onHelper(f)
+			}
+			return run(f)
+		}
+	}
+}
+
+// checkSingleJobSweep runs one single-job sweep at several worker
+// counts and requires each per-fault diagnosis to equal the independent
+// reference. With several workers a helperGate makes helpers run some of
+// the job's lanes. The sweeps run under a cancellable context, as the
+// CLIs' sweeps do.
+func checkSingleJobSweep(t *testing.T, faults []sim.Fault, mkSweep func(workers int) (sweep, error), ref func(sim.Fault) *FaultDiagnosis) {
 	t.Helper()
 	want := make([]*FaultDiagnosis, len(faults))
 	for i, f := range faults {
 		want[i] = ref(f)
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
-		var got []*FaultDiagnosis
-		study, err := run(newCountdown(1<<30), workers, func(fd *FaultDiagnosis) { got = append(got, fd) })
+		sw, err := mkSweep(workers)
 		if err != nil {
+			t.Fatal(err)
+		}
+		gate := newHelperGate()
+		if workers > 1 {
+			sw.fork = gate.wrap(sw.fork)
+		}
+		var got []*FaultDiagnosis
+		if _, err := sw.run(newCountdown(1<<30), faults, func(fd *FaultDiagnosis) { got = append(got, fd) }); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if study.PlanBatches != 1 {
-			t.Fatalf("workers=%d: sweep ran %d batches, want a single batch", workers, study.PlanBatches)
+		if workers > 1 && gate.helped.Load() == 0 {
+			t.Fatalf("workers=%d: no helper ran a lane", workers)
 		}
 		if len(got) != len(faults) {
 			t.Fatalf("workers=%d: observed %d of %d faults", workers, len(got), len(faults))
@@ -62,8 +105,8 @@ func checkSingleBatchSweep(t *testing.T, faults []sim.Fault, run func(ctx contex
 }
 
 // TestSingleBatchCircuitSweepMatchesReference: a circuit sweep whose
-// faults all pack into one batch fans its lanes out over every worker
-// and still reproduces DiagnoseFault bit for bit, noise off and on.
+// faults all fit one job fans its lanes out over helper workers and still
+// reproduces the independent reference bit for bit, noise off and on.
 func TestSingleBatchCircuitSweepMatchesReference(t *testing.T) {
 	c := benchgen.MustGenerate("s953")
 	for _, noisy := range []bool{false, true} {
@@ -75,23 +118,23 @@ func TestSingleBatchCircuitSweepMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		faults := singleBatchSample(t, c, sim.SampleFaults(b.Faults(), 40, 4))
+		faults := singleJobSample(t, sim.SampleFaults(b.Faults(), 40, 4))
 		t.Run(fmt.Sprintf("noisy=%t", noisy), func(t *testing.T) {
-			checkSingleBatchSweep(t, faults, func(ctx context.Context, workers int, observe func(*FaultDiagnosis)) (*Study, error) {
+			checkSingleJobSweep(t, faults, func(workers int) (sweep, error) {
 				o := b.Opts
 				o.Workers = workers
 				wb, err := NewCircuitBench(c, o)
 				if err != nil {
-					return nil, err
+					return sweep{}, err
 				}
-				return wb.RunObservedContext(ctx, faults, observe)
-			}, b.DiagnoseFault)
+				return wb.sweep(), nil
+			}, func(f sim.Fault) *FaultDiagnosis { return referenceDiagnosis(b, f) })
 		})
 	}
 }
 
 // TestSingleBatchSOCSweepMatchesReference is the SOC core-sweep
-// counterpart: each core's sample is one batch, as in the paper's SOC
+// counterpart: each core's sample is one job, as in the paper's SOC
 // workload.
 func TestSingleBatchSOCSweepMatchesReference(t *testing.T) {
 	s, err := soc.Preset("socmini")
@@ -108,51 +151,25 @@ func TestSingleBatchSOCSweepMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		for core := 0; core < s.NumCores(); core++ {
-			faults := singleBatchSample(t, s.Cores[core].Circuit, sim.SampleFaults(b.CoreFaults(core), 40, 8))
+			faults := singleJobSample(t, sim.SampleFaults(b.CoreFaults(core), 40, 8))
 			t.Run(fmt.Sprintf("noisy=%t/core=%d", noisy, core), func(t *testing.T) {
-				checkSingleBatchSweep(t, faults, func(ctx context.Context, workers int, observe func(*FaultDiagnosis)) (*Study, error) {
+				checkSingleJobSweep(t, faults, func(workers int) (sweep, error) {
 					o := b.Opts
 					o.Workers = workers
 					wb, err := NewSOCBench(s, o)
 					if err != nil {
-						return nil, err
+						return sweep{}, err
 					}
-					return wb.RunCoreObservedContext(ctx, core, faults, observe)
-				}, func(f sim.Fault) *FaultDiagnosis { return b.DiagnoseFault(core, f) })
+					return wb.sweep(core), nil
+				}, func(f sim.Fault) *FaultDiagnosis { return referenceSOCDiagnosis(b, core, f) })
 			})
 		}
 	}
 }
 
-// helperPanicLanes wraps a worker's laneSim. The owner (the first worker
-// to build one, since the single batch's head runs before any lane is
-// published) holds its lanes until a helper starts one; the helper's
-// first materialization panics and records the lane it was on.
-type helperPanicLanes struct {
-	laneSim
-	owner    bool
-	started  chan struct{}
-	once     *sync.Once
-	panicked *atomic.Int64
-}
-
-func (l *helperPanicLanes) materialize(bs *sim.BatchScratch, k int) (sim.Fault, *bitset.Set, bool, []*sim.Response) {
-	if l.owner {
-		select {
-		case <-l.started:
-		case <-time.After(10 * time.Second):
-			panic("core: no helper joined the single batch")
-		}
-		return l.laneSim.materialize(bs, k)
-	}
-	l.once.Do(func() { close(l.started) })
-	l.panicked.Store(int64(k))
-	panic("injected helper fault")
-}
-
 // TestLanePanicOnHelperWorker: a panic in a lane that a helper worker —
-// not the batch's owner — runs surfaces as a *WorkerError naming the
-// batch, the lane and the fault being diagnosed.
+// not the job's owner — runs surfaces as a *WorkerError naming the job,
+// the lane and the fault being diagnosed.
 func TestLanePanicOnHelperWorker(t *testing.T) {
 	c := benchgen.MustGenerate("s953")
 	o := baseOpts(partition.TwoStep{})
@@ -161,28 +178,25 @@ func TestLanePanicOnHelperWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faults := singleBatchSample(t, c, sim.SampleFaults(b.Faults(), 40, 4))
-	var built atomic.Int32
+	faults := singleJobSample(t, sim.SampleFaults(b.Faults(), 40, 4))
 	var panicked atomic.Int64
-	started, once := make(chan struct{}), &sync.Once{}
-	sw := sweep{o: b.Opts, c: b.Circuit, eng: b.art.Engine, diag: b.art.Diag, good: b.art.Good, blocks: b.art.Blocks,
-		fork: func() laneSim {
-			fs := b.fs.Fork()
-			return &helperPanicLanes{laneSim: &circuitLanes{fs: fs, sc: fs.NewScratch()},
-				owner: built.Add(1) == 1, started: started, once: once, panicked: &panicked}
-		}}
-	ctx := newCountdown(1 << 30)
-	study, err := sw.run(ctx, faults, nil)
-	if study.PlanBatches != 1 {
-		t.Fatalf("sweep ran %d batches, want a single batch", study.PlanBatches)
+	gate := newHelperGate()
+	gate.onHelper = func(f sim.Fault) {
+		panicked.Store(int64(slices.Index(faults, f)))
+		panic("injected helper fault")
 	}
+	sw := b.sweep()
+	sw.fork = gate.wrap(sw.fork)
+	_, err = sw.run(newCountdown(1<<30), faults, nil)
 	var we *pipeline.WorkerError
 	if !errors.As(err, &we) {
 		t.Fatalf("err = %v (%T), want *WorkerError", err, err)
 	}
 	lane := int(panicked.Load())
-	plan := b.Opts.Cache.Plan(c, faults, sweepOptions(ctx, b.Opts))
-	wantDetail := plan.Batches[0].Faults[lane].Describe(c)
+	if lane < 0 {
+		t.Fatal("the panicking helper ran a fault outside the sample")
+	}
+	wantDetail := faults[lane].Describe(c)
 	if we.Job != 0 || we.Lane != lane || we.Detail != wantDetail || we.Value != "injected helper fault" {
 		t.Fatalf("WorkerError = job %d lane %d detail %q value %v, want job 0 lane %d detail %q",
 			we.Job, we.Lane, we.Detail, we.Value, lane, wantDetail)

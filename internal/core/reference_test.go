@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/benchgen"
 	"repro/internal/bist"
+	"repro/internal/bitset"
 	"repro/internal/diagnosis"
 	"repro/internal/partition"
 	"repro/internal/sim"
@@ -42,6 +44,41 @@ func diagnoseFault(o Options, eng *bist.Engine, diag *diagnosis.Diagnoser, good 
 	for k := 1; k <= o.Partitions; k++ {
 		fd.CandidatesByPartition[k-1] = diag.Candidates(v, k).Len()
 	}
+}
+
+// referenceDiagnosis is the sweep's oracle for one fault of a circuit
+// bench, independent of production on both sides: the full-pass
+// reference simulator (FaultSim.RunReference, neither the event engine
+// the sweeps and DiagnoseFault run nor the batch kernel) followed by the
+// diagnoseFault oracle.
+func referenceDiagnosis(b *CircuitBench, f sim.Fault) *FaultDiagnosis {
+	res := b.fs.RunReference(f)
+	fd := &FaultDiagnosis{Fault: f, Actual: res.FailingCells, Detected: res.Detected()}
+	diagnoseFault(b.Opts, b.art.Engine, b.art.Diag, b.art.Good, b.art.Blocks, res.Faulty, fd)
+	return fd
+}
+
+// referenceSOCDiagnosis is referenceDiagnosis for a fault in one core of
+// an SOC bench: the core's full-pass reference result is spliced into the
+// fault-free meta-chain responses at the core's cell range, here rather
+// than by the soc package's own splicing.
+func referenceSOCDiagnosis(b *SOCBench, core int, f sim.Fault) *FaultDiagnosis {
+	local := b.fs.CoreSims()[core].RunReference(f)
+	lo, _ := b.SOC.CellRange(core)
+	actual := bitset.New(b.SOC.NumCells())
+	for _, cell := range local.FailingCells.Elems() {
+		actual.Add(lo + cell)
+	}
+	good := b.fs.Good()
+	faulty := make([]*sim.Response, len(good))
+	for bi, g := range good {
+		next := slices.Clone(g.Next)
+		copy(next[lo:], local.Faulty[bi].Next)
+		faulty[bi] = &sim.Response{Next: next}
+	}
+	fd := &FaultDiagnosis{Fault: f, Actual: actual, Detected: !actual.Empty()}
+	diagnoseFault(b.Opts, b.art.Engine, b.art.Diag, good, b.fs.Blocks(), faulty, fd)
+	return fd
 }
 
 // TestWorkerMatchesReference pins the production diagnosis step — one

@@ -60,7 +60,7 @@ func Baselines(ctx context.Context, cfg Config) ([]BaselineRow, error) {
 	var bench *core.CircuitBench
 	for _, s := range schemes {
 		b, err := core.NewCircuitBench(c, core.Options{
-			Scheme: s, Groups: baselineGroups, Partitions: baselinePartition, Patterns: baselinePatterns, Workers: cfg.Workers, Lanes: cfg.Lanes, Cache: cfg.Cache,
+			Scheme: s, Groups: baselineGroups, Partitions: baselinePartition, Patterns: baselinePatterns, Workers: cfg.Workers, Cache: cfg.Cache,
 		})
 		if err != nil {
 			return nil, err

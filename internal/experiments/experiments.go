@@ -36,9 +36,10 @@ type Config struct {
 	// selects GOMAXPROCS, 1 forces serial execution. Results are identical
 	// for every worker count.
 	Workers int
-	// Lanes caps the fault lanes packed per simulation batch (1 to
+	// Lanes caps the fault lanes packed per transition-fault batch (1 to
 	// sim.MaxBatchLanes); zero selects the engine default. Results are
-	// identical for every cap — only sweep throughput changes.
+	// identical for every cap — only sweep throughput changes. Stuck-at
+	// sweeps run the event-driven engine and pack no batches.
 	Lanes int
 	// Cache shares build artifacts (pattern blocks, fault-free responses,
 	// golden signatures) across the benches an experiment builds — and
@@ -85,7 +86,7 @@ func Table1(ctx context.Context, cfg Config) ([]Table1Row, error) {
 	var studies []*core.Study
 	for _, s := range schemes {
 		b, err := core.NewCircuitBench(c, core.Options{
-			Scheme: s, Groups: 4, Partitions: maxPartitions, Patterns: 200, Workers: cfg.Workers, Lanes: cfg.Lanes, Cache: cfg.Cache,
+			Scheme: s, Groups: 4, Partitions: maxPartitions, Patterns: 200, Workers: cfg.Workers, Cache: cfg.Cache,
 		})
 		if err != nil {
 			return nil, err
@@ -151,7 +152,7 @@ func Table2(ctx context.Context, cfg Config) ([]Table2Row, error) {
 		row := Table2Row{Circuit: setup.name, Groups: setup.groups, Partitions: table2Partitions}
 		for i, s := range []partition.Scheme{partition.RandomSelection{}, partition.TwoStep{}} {
 			b, err := core.NewCircuitBench(c, core.Options{
-				Scheme: s, Groups: setup.groups, Partitions: table2Partitions, Patterns: 128, Workers: cfg.Workers, Lanes: cfg.Lanes, Cache: cfg.Cache,
+				Scheme: s, Groups: setup.groups, Partitions: table2Partitions, Patterns: 128, Workers: cfg.Workers, Cache: cfg.Cache,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", setup.name, s.Name(), err)
@@ -190,7 +191,7 @@ func socTable(ctx context.Context, cfg Config, s *soc.SOC, chains, groups, parti
 	benches := make([]*core.SOCBench, 2)
 	for i, sch := range []partition.Scheme{partition.RandomSelection{}, partition.TwoStep{}} {
 		b, err := core.NewSOCBench(s, core.Options{
-			Scheme: sch, Groups: groups, Partitions: partitions, Patterns: patterns, Chains: chains, Workers: cfg.Workers, Lanes: cfg.Lanes, Cache: cfg.Cache,
+			Scheme: sch, Groups: groups, Partitions: partitions, Patterns: patterns, Chains: chains, Workers: cfg.Workers, Cache: cfg.Cache,
 		})
 		if err != nil {
 			return nil, err
@@ -260,7 +261,7 @@ func Figure5(ctx context.Context, cfg Config) ([]Figure5Row, error) {
 	benches := make([]*core.SOCBench, 2)
 	for i, sch := range []partition.Scheme{partition.RandomSelection{}, partition.TwoStep{}} {
 		b, err := core.NewSOCBench(s, core.Options{
-			Scheme: sch, Groups: 32, Partitions: figure5MaxPartitions, Patterns: 128, Workers: cfg.Workers, Lanes: cfg.Lanes, Cache: cfg.Cache,
+			Scheme: sch, Groups: 32, Partitions: figure5MaxPartitions, Patterns: 128, Workers: cfg.Workers, Cache: cfg.Cache,
 		})
 		if err != nil {
 			return nil, err

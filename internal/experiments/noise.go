@@ -72,7 +72,6 @@ func NoiseSweep(ctx context.Context, cfg Config) ([]NoiseRow, error) {
 				Retry:         bist.RetryPolicy{MaxRetries: lvl.retries},
 				VoteThreshold: lvl.vote,
 				Workers:       cfg.Workers,
-				Lanes:         cfg.Lanes,
 				// Noise and retry knobs are not part of the artifact key,
 				// so all three reliability levels share one artifact set.
 				Cache: cfg.Cache,

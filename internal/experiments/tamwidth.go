@@ -43,7 +43,7 @@ func TAMWidth(ctx context.Context, cfg Config) ([]TAMWidthRow, error) {
 		row := TAMWidthRow{Chains: chains}
 		for i, sch := range []partition.Scheme{partition.RandomSelection{}, partition.TwoStep{}} {
 			b, err := core.NewSOCBench(s, core.Options{
-				Scheme: sch, Groups: 8, Partitions: 8, Patterns: 128, Chains: chains, Workers: cfg.Workers, Lanes: cfg.Lanes, Cache: cfg.Cache,
+				Scheme: sch, Groups: 8, Partitions: 8, Patterns: 128, Chains: chains, Workers: cfg.Workers, Cache: cfg.Cache,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("tam width %d: %w", chains, err)

@@ -55,34 +55,20 @@ func buildJobs(kind codec.JobKind, ref codec.DeviceRef, coreIdx int32, spec code
 	return jobs
 }
 
-// mergeDiagnoses scatters completed shards' deltas into per-fault slots
-// and accumulates the batch-plan shape across shards. Failed shards
-// leave nil slots.
-func mergeDiagnoses(faults []sim.Fault, results []*codec.ShardResult) (slots []*core.FaultDiagnosis, batches int, capacity float64) {
-	slots = make([]*core.FaultDiagnosis, len(faults))
+// mergeDiagnoses scatters completed shards' deltas into per-fault slots.
+// Failed shards leave nil slots.
+func mergeDiagnoses(faults []sim.Fault, results []*codec.ShardResult) []*core.FaultDiagnosis {
+	slots := make([]*core.FaultDiagnosis, len(faults))
 	for _, res := range results {
 		if res == nil {
 			continue
 		}
-		batches += int(res.PlanBatches)
-		capacity += float64(res.PlanBatches) * float64(res.LaneCap)
 		for i := range res.Diagnoses {
 			d := &res.Diagnoses[i]
 			slots[d.Index] = diagnosisFromWire(faults[d.Index], d)
 		}
 	}
-	return slots, batches, capacity
-}
-
-// stampMerged installs the aggregated plan shape on a merged study:
-// PlanBatches sums the shards' schedules, PlanFill is observed faults
-// over summed lane capacity — the same fill a single plan of that shape
-// would report.
-func stampMerged(study *core.Study, batches int, capacity float64) {
-	study.PlanBatches = batches
-	if capacity > 0 {
-		study.PlanFill = float64(study.Completeness.Observed) / capacity
-	}
+	return slots
 }
 
 // runStuckAt is the one stuck-at path behind RunCircuit and RunSOCCore:
@@ -100,11 +86,8 @@ func (c *Coordinator) runStuckAt(ctx context.Context, kind codec.JobKind, ref co
 		return nil, fmt.Errorf("shard: %d costs for %d faults", len(costs), len(faults))
 	}
 	results, runErr := c.run(ctx, buildJobs(kind, ref, coreIdx, spec, knobs, faults, costs, c.shardCount()))
-	slots, batches, capacity := mergeDiagnoses(faults, results)
 	// optionsToWire has rejected a nil scheme, so Name is safe.
-	study := core.MergeObserved(o, o.Scheme.Name(), slots, observe)
-	stampMerged(study, batches, capacity)
-	return study, runErr
+	return core.MergeObserved(o, o.Scheme.Name(), mergeDiagnoses(faults, results), observe), runErr
 }
 
 // RunCircuit runs the sharded equivalent of CircuitBench.RunObserved:

@@ -112,16 +112,11 @@ func sameDiag(t *testing.T, i int, want, got *core.FaultDiagnosis) {
 	}
 }
 
-// sameStudy asserts two studies agree on every aggregate except the
-// batch-plan shape, which legitimately differs when the sweep is split
-// into shards (each shard plans its own batches).
+// sameStudy asserts two studies agree on every aggregate.
 func sameStudy(t *testing.T, want, got *core.Study) {
 	t.Helper()
-	w, g := *want, *got
-	w.PlanBatches, g.PlanBatches = 0, 0
-	w.PlanFill, g.PlanFill = 0, 0
-	if !reflect.DeepEqual(w, g) {
-		t.Fatalf("studies differ:\nwant %+v\ngot  %+v", w, g)
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("studies differ:\nwant %+v\ngot  %+v", want, got)
 	}
 }
 

@@ -122,7 +122,6 @@ func optionsToWire(o core.Options) (codec.WireSpec, codec.WireKnobs, error) {
 		NoiseSeed:         o.Noise.Seed,
 		MaxRetries:        uint32(o.Retry.MaxRetries),
 		VoteThreshold:     uint32(o.VoteThreshold),
-		Lanes:             uint32(o.Lanes),
 	}
 	return spec, knobs, nil
 }
@@ -150,7 +149,6 @@ func optionsFromWire(spec codec.WireSpec, knobs codec.WireKnobs) (core.Options, 
 		},
 		Retry:         bist.RetryPolicy{MaxRetries: int(knobs.MaxRetries)},
 		VoteThreshold: int(knobs.VoteThreshold),
-		Lanes:         int(knobs.Lanes),
 	}
 	if len(spec.ScanOrder) > 0 {
 		o.ScanOrder = make([]int, len(spec.ScanOrder))

@@ -244,29 +244,15 @@ func (s *Server) faultChunks(ctx context.Context, job *codec.ShardJob, res *code
 			return bench.RunCoreObservedContext(ctx, coreIdx, faults, observe)
 		}
 	}
-	res.LaneCap = uint32(laneCap(o.Lanes))
 	res.Diagnoses = make([]codec.WireDiagnosis, 0, len(faults))
 	return func(lo, hi int) error {
 		k := lo
-		study, err := sweep(ctx, faults[lo:hi], func(fd *core.FaultDiagnosis) {
+		_, err := sweep(ctx, faults[lo:hi], func(fd *core.FaultDiagnosis) {
 			res.Diagnoses = append(res.Diagnoses, diagnosisToWire(job.Indices[k], fd))
 			k++
 		})
-		if err != nil {
-			return err
-		}
-		res.PlanBatches += uint32(study.PlanBatches)
-		return nil
+		return err
 	}, nil
-}
-
-// laneCap mirrors sim.BatchOptions' lane clamping so the result frame
-// reports the cap the worker's plans actually used.
-func laneCap(lanes int) int {
-	if lanes < 1 || lanes > sim.MaxBatchLanes {
-		return sim.MaxBatchLanes
-	}
-	return lanes
 }
 
 // chainChunks prepares a chain-fault injection shard and returns the
