@@ -390,36 +390,73 @@ func BenchmarkMISRClock(b *testing.B) {
 	}
 }
 
+// BenchmarkVerdicts times the perfect-tester verdict step on s13207
+// (two-step, 16 groups, 8 partitions, 128 patterns). single: Verdicts for
+// one detected fault, the adapter that scans every cell for the failing
+// ones. sweep: the production entry, CellVerdictsUpTo into one pooled
+// Verdicts over the failing cells the simulator reports, for every
+// detected fault of a 500-fault sample; it reports µs per detected fault,
+// and allocs/op counts a whole sample.
 func BenchmarkVerdicts(b *testing.B) {
 	c := benchgen.MustGenerate("s13207")
-	cfg := scan.SingleChain(c.NumDFFs())
-	prpg := lfsr.MustNew(lfsr.MustPrimitivePoly(16), 0xACE1)
-	blocks := bist.GenerateBlocks(prpg, c.NumInputs(), c.NumDFFs(), 128)
-	fs := sim.NewFaultSim(c, blocks)
-	eng, err := bist.NewEngine(cfg, bist.Plan{
-		Scheme: partition.TwoStep{}, Groups: 16, Partitions: 8,
-	}, 128)
-	if err != nil {
-		b.Fatal(err)
-	}
-	good := make([]*sim.Response, len(blocks))
-	for i := range blocks {
-		good[i] = fs.Good(i)
-	}
-	var detected *sim.Result
-	for _, f := range sim.SampleFaults(sim.FullFaultList(c), 50, 1) {
-		if r := fs.Run(f); r.Detected() {
-			detected = r
-			break
+	b.Run("single", func(b *testing.B) {
+		cfg := scan.SingleChain(c.NumDFFs())
+		prpg := lfsr.MustNew(lfsr.MustPrimitivePoly(16), 0xACE1)
+		blocks := bist.GenerateBlocks(prpg, c.NumInputs(), c.NumDFFs(), 128)
+		fs := sim.NewFaultSim(c, blocks)
+		eng, err := bist.NewEngine(cfg, bist.Plan{
+			Scheme: partition.TwoStep{}, Groups: 16, Partitions: 8,
+		}, 128)
+		if err != nil {
+			b.Fatal(err)
 		}
-	}
-	if detected == nil {
-		b.Fatal("no detected fault")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Verdicts(good, detected.Faulty, blocks)
-	}
+		good := make([]*sim.Response, len(blocks))
+		for i := range blocks {
+			good[i] = fs.Good(i)
+		}
+		var detected *sim.Result
+		for _, f := range sim.SampleFaults(sim.FullFaultList(c), 50, 1) {
+			if r := fs.Run(f); r.Detected() {
+				detected = r
+				break
+			}
+		}
+		if detected == nil {
+			b.Fatal("no detected fault")
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			eng.Verdicts(good, detected.Faulty, blocks)
+		}
+	})
+	b.Run("sweep", func(b *testing.B) {
+		cb, err := core.NewCircuitBench(c, core.Options{
+			Scheme: partition.TwoStep{}, Groups: 16, Partitions: 8, Patterns: 128,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		art := cb.Artifacts()
+		var detected []*sim.Result
+		for _, f := range sim.SampleFaults(cb.Faults(), 500, 1) {
+			if res := art.Sim.Run(f); res.Detected() {
+				detected = append(detected, res)
+			}
+		}
+		v := art.Engine.NewVerdicts()
+		ctx := context.Background()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, res := range detected {
+				if _, err := art.Engine.CellVerdictsUpTo(ctx, res.FailingCells, art.Good, res.Faulty, art.Blocks, v); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(detected)), "µs/fault")
+	})
 }
 
 func BenchmarkIntervalSeedSearch(b *testing.B) {
@@ -521,15 +558,11 @@ func BenchmarkNoisyDiagnosis(b *testing.B) {
 	}
 	art := sb.Artifacts()
 	good, blocks := art.Sim.Good(), art.Sim.Blocks()
-	type faultCase struct {
-		f      sim.Fault
-		faulty []*sim.Response
-	}
-	var cases []faultCase
+	var cases []*soc.Result
 	for ci := range s.Cores {
 		for _, f := range sim.SampleFaults(sb.CoreFaults(ci), 30, 1) {
 			if res := art.Sim.Run(ci, f); res.Detected() {
-				cases = append(cases, faultCase{f, res.Faulty})
+				cases = append(cases, res)
 			}
 		}
 	}
@@ -541,8 +574,8 @@ func BenchmarkNoisyDiagnosis(b *testing.B) {
 	sink := 0
 	for i := 0; i < b.N; i++ {
 		for _, c := range cases {
-			m := opts.Noise.Fork(uint64(int64(c.f.Net)+1), uint64(int64(c.f.Gate)+1), uint64(int64(c.f.Pin)+1), uint64(c.f.Stuck))
-			v, _ := art.Engine.NoisyVerdicts(good, c.faulty, blocks, m, opts.Retry)
+			m := opts.Noise.Fork(uint64(int64(c.Fault.Net)+1), uint64(int64(c.Fault.Gate)+1), uint64(int64(c.Fault.Pin)+1), uint64(c.Fault.Stuck))
+			v, _ := art.Engine.NoisyCellVerdicts(c.FailingCells, good, c.Faulty, blocks, m, opts.Retry)
 			sink += art.Diag.Diagnose(v).Pruned.Len()
 			sink += art.Diag.DiagnoseRobust(v, opts.VoteThreshold).Pruned.Len()
 			art.Diag.CandidateCounts(v, counts)

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"sync"
 
+	"repro/internal/bitset"
 	"repro/internal/lfsr"
 	"repro/internal/partition"
 	"repro/internal/scan"
@@ -187,8 +188,10 @@ type Engine struct {
 	clocks  int                     // shift clocks per session (patterns × shiftsL)
 	xp      []uint64                // xp[e] = x^e mod MISRPoly
 	vgroups int                     // verdict slots per partition
-	// arenas pools the *contribs of sessionContribs.
-	arenas sync.Pool
+	// arenas pools the *contribs of sessionContribs; cellSets the
+	// *bitset.Set of failingCells.
+	arenas   sync.Pool
+	cellSets sync.Pool
 }
 
 // PerChainVerdicts reports whether verdicts are per (chain, group) rather
@@ -297,8 +300,8 @@ func rows[T any](flat []T, n int) [][]T {
 }
 
 // Verdicts derives all session verdicts for a fault from its good and
-// faulty responses. Only error bits are visited, so the cost is
-// proportional to the number of cell errors, not to the stream length.
+// faulty responses: one scan of every cell of every block finds the
+// failing cells, and only their error bits are folded (VerdictsInto).
 func (e *Engine) Verdicts(good, faulty []*sim.Response, blocks []*sim.Block) *Verdicts {
 	v := e.NewVerdicts()
 	e.VerdictsInto(good, faulty, blocks, v)
@@ -308,58 +311,117 @@ func (e *Engine) Verdicts(good, faulty []*sim.Response, blocks []*sim.Block) *Ve
 // VerdictsInto recomputes v in place from a fault's responses — the
 // pooled equivalent of Verdicts: the rows are zeroed and refilled, so one
 // per-worker Verdicts serves the whole fault loop without allocating. v
-// must come from NewVerdicts on this engine.
+// must come from NewVerdicts on this engine. It scans every cell of every
+// block for the failing cells; a caller that already holds them (the
+// simulator reports them) passes them to CellVerdictsUpTo instead, which
+// costs only the failing cells' words.
 func (e *Engine) VerdictsInto(good, faulty []*sim.Response, blocks []*sim.Block, v *Verdicts) {
-	errSig := v.ErrSig
-	for t := range v.Fail {
-		fr, sr := v.Fail[t], errSig[t]
-		for i := range fr {
-			fr[i] = false
-			sr[i] = 0
-		}
+	cells := e.failingCells(good, faulty, blocks)
+	e.cellVerdicts(cells, good, faulty, blocks, v)
+	e.cellSets.Put(cells)
+}
+
+// failingCells returns the cells whose faulty words differ from the good
+// ones within some block's mask, in a set from e.cellSets that the caller
+// puts back: one block-major scan of every cell.
+func (e *Engine) failingCells(good, faulty []*sim.Response, blocks []*sim.Block) *bitset.Set {
+	cells, _ := e.cellSets.Get().(*bitset.Set)
+	if cells == nil {
+		cells = bitset.New(e.cfg.NumCells)
 	}
-	v.Unknown = nil
-	patternBase := 0
-	totalClocks := 0
-	for _, b := range blocks {
-		totalClocks += b.N * e.shiftsL
-	}
-	if totalClocks != e.clocks {
-		panic(fmt.Sprintf("bist: blocks hold %d clocks of patterns, engine sized for %d", totalClocks, e.clocks))
-	}
+	cells.Reset()
 	for bi, b := range blocks {
 		mask := b.Mask()
-		g, f := good[bi], faulty[bi]
-		for cell := range g.Next {
-			diff := (g.Next[cell] ^ f.Next[cell]) & mask
-			if diff == 0 {
-				continue
-			}
-			chain := e.chainOf[cell]
-			pos := e.posOf[cell]
-			for d := diff; d != 0; d &= d - 1 {
-				p := patternBase + bits.TrailingZeros64(d)
-				// Scan-out streams the chain starting at position 0, so
-				// position pos leaves on shift clock pos of its pattern.
-				tau := p*e.shiftsL + pos
-				syn := e.xp[totalClocks-1-tau+chain]
-				for t := 0; t < e.plan.Partitions; t++ {
-					slot := e.verdictIndex(chain, e.parts[chain][t].GroupOf[pos])
-					errSig[t][slot] ^= syn
-					if e.plan.Ideal {
-						v.Fail[t][slot] = true
-					}
-				}
+		g, f := good[bi].Next, faulty[bi].Next
+		for cell := range g {
+			if (g[cell]^f[cell])&mask != 0 {
+				cells.Add(cell)
 			}
 		}
-		patternBase += b.N
 	}
+	return cells
+}
+
+// cellVerdicts is the one fold behind every perfect-tester verdict: for
+// each cell of cells it folds the cell's error bits into one syndrome
+// (cellSyndrome), then XORs that syndrome once into the cell's slot in
+// each partition. By MISR linearity a session's error signature is the
+// XOR of the syndromes of the cells it unmasks, so the cost is the
+// failing cells' words, not the stream length or the scan length. cells
+// must hold every cell with an error bit; a cell without one adds
+// nothing, so a superset gives the same verdicts.
+func (e *Engine) cellVerdicts(cells *bitset.Set, good, faulty []*sim.Response, blocks []*sim.Block, v *Verdicts) {
+	e.checkClocks(blocks)
+	for t := range v.Fail {
+		clear(v.Fail[t])
+		clear(v.ErrSig[t])
+	}
+	v.Unknown = nil
+	cells.ForEach(func(cell int) {
+		syn, hit := e.cellSyndrome(cell, good, faulty, blocks)
+		if !hit {
+			return
+		}
+		chain, pos := e.chainOf[cell], e.posOf[cell]
+		for t, p := range e.parts[chain] {
+			slot := e.verdictIndex(chain, p.GroupOf[pos])
+			v.ErrSig[t][slot] ^= syn
+			if e.plan.Ideal {
+				v.Fail[t][slot] = true
+			}
+		}
+	})
 	if !e.plan.Ideal {
-		for t := range errSig {
-			for g, s := range errSig[t] {
+		for t, row := range v.ErrSig {
+			for g, s := range row {
 				v.Fail[t][g] = s != 0
 			}
 		}
+	}
+}
+
+// cellSyndrome folds one cell's marked bits over the session into the XOR
+// of their syndromes: its error bits (faulty differing from good within
+// each block's mask), or with faulty nil the one bits of good itself. hit
+// reports whether any bit was marked, since marked bits may fold to zero.
+// The caller has checked blocks against the engine (checkClocks).
+func (e *Engine) cellSyndrome(cell int, good, faulty []*sim.Response, blocks []*sim.Block) (syn uint64, hit bool) {
+	chain, pos := e.chainOf[cell], e.posOf[cell]
+	patternBase := 0
+	var marked uint64
+	for bi, b := range blocks {
+		w := good[bi].Next[cell]
+		if faulty != nil {
+			w ^= faulty[bi].Next[cell]
+		}
+		w &= b.Mask()
+		marked |= w
+		for d := w; d != 0; d &= d - 1 {
+			syn ^= e.bitSyndrome(patternBase+bits.TrailingZeros64(d), chain, pos)
+		}
+		patternBase += b.N
+	}
+	return syn, marked != 0
+}
+
+// bitSyndrome is the contribution of an error bit at position pos of a
+// chain on pattern p to its session's error signature: scan-out streams
+// the chain starting at position 0, so the bit leaves on shift clock
+// τ = p × shiftsL + pos of a session of T clocks and enters as
+// x^(T−1−τ+chain) modulo the MISR polynomial.
+func (e *Engine) bitSyndrome(p, chain, pos int) uint64 {
+	return e.xp[e.clocks-1-(p*e.shiftsL+pos)+chain]
+}
+
+// checkClocks panics unless blocks hold exactly the session length the
+// engine was built for.
+func (e *Engine) checkClocks(blocks []*sim.Block) {
+	total := 0
+	for _, b := range blocks {
+		total += b.N * e.shiftsL
+	}
+	if total != e.clocks {
+		panic(fmt.Sprintf("bist: blocks hold %d clocks of patterns, engine sized for %d", total, e.clocks))
 	}
 }
 
@@ -427,35 +489,13 @@ func (e *Engine) GoldenSignatures(good []*sim.Response, blocks []*sim.Block) [][
 	for t := range sigs {
 		sigs[t] = make([]uint64, e.vgroups)
 	}
-	totalClocks := 0
-	for _, b := range blocks {
-		totalClocks += b.N * e.shiftsL
-	}
-	if totalClocks != e.clocks {
-		panic(fmt.Sprintf("bist: blocks hold %d clocks of patterns, engine sized for %d", totalClocks, e.clocks))
-	}
-	patternBase := 0
-	for bi, b := range blocks {
-		mask := b.Mask()
-		g := good[bi]
-		for cell := range g.Next {
-			word := g.Next[cell] & mask
-			if word == 0 {
-				continue
-			}
-			chain := e.chainOf[cell]
-			pos := e.posOf[cell]
-			for d := word; d != 0; d &= d - 1 {
-				p := patternBase + bits.TrailingZeros64(d)
-				tau := p*e.shiftsL + pos
-				syn := e.xp[totalClocks-1-tau+chain]
-				for t := 0; t < e.plan.Partitions; t++ {
-					slot := e.verdictIndex(chain, e.parts[chain][t].GroupOf[pos])
-					sigs[t][slot] ^= syn
-				}
-			}
+	e.checkClocks(blocks)
+	for cell := range e.cfg.NumCells {
+		syn, _ := e.cellSyndrome(cell, good, nil, blocks)
+		chain, pos := e.chainOf[cell], e.posOf[cell]
+		for t, p := range e.parts[chain] {
+			sigs[t][e.verdictIndex(chain, p.GroupOf[pos])] ^= syn
 		}
-		patternBase += b.N
 	}
 	return sigs
 }
@@ -468,31 +508,9 @@ func (e *Engine) GoldenSignatures(good []*sim.Response, blocks []*sim.Block) [][
 // re-simulating.
 func (e *Engine) CellSyndromes(good, faulty []*sim.Response, blocks []*sim.Block) []uint64 {
 	syn := make([]uint64, e.cfg.NumCells)
-	totalClocks := 0
-	for _, b := range blocks {
-		totalClocks += b.N * e.shiftsL
-	}
-	if totalClocks != e.clocks {
-		panic(fmt.Sprintf("bist: blocks hold %d clocks of patterns, engine sized for %d", totalClocks, e.clocks))
-	}
-	patternBase := 0
-	for bi, b := range blocks {
-		mask := b.Mask()
-		g, f := good[bi], faulty[bi]
-		for cell := range g.Next {
-			diff := (g.Next[cell] ^ f.Next[cell]) & mask
-			if diff == 0 {
-				continue
-			}
-			chain := e.chainOf[cell]
-			pos := e.posOf[cell]
-			for d := diff; d != 0; d &= d - 1 {
-				p := patternBase + bits.TrailingZeros64(d)
-				tau := p*e.shiftsL + pos
-				syn[cell] ^= e.xp[totalClocks-1-tau+chain]
-			}
-		}
-		patternBase += b.N
+	e.checkClocks(blocks)
+	for cell := range syn {
+		syn[cell], _ = e.cellSyndrome(cell, good, faulty, blocks)
 	}
 	return syn
 }

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"repro/internal/bitset"
 	"repro/internal/noise"
 	"repro/internal/sim"
 )
@@ -121,8 +122,21 @@ func (c *contribs) session(s int) []int32 { return c.at[c.start[s]:c.start[s+1]]
 // Verdicts bit-for-bit (no Unknowns, identical Fail and ErrSig).
 //
 // Reliability reports the session budget spent and the noise absorbed.
+// It scans every cell of every block for the failing cells;
+// NoisyCellVerdicts takes them from a caller that already holds them.
 func (e *Engine) NoisyVerdicts(good, faulty []*sim.Response, blocks []*sim.Block, m noise.Model, rp RetryPolicy) (*Verdicts, *Reliability) {
-	c := e.sessionContribs(good, faulty, blocks)
+	cells := e.failingCells(good, faulty, blocks)
+	defer e.cellSets.Put(cells)
+	return e.NoisyCellVerdicts(cells, good, faulty, blocks, m, rp)
+}
+
+// NoisyCellVerdicts is NoisyVerdicts over a known failing-cell set: cells
+// must hold every cell whose faulty words differ from the good ones (the
+// simulator's Result.FailingCells), and only those cells' words are read.
+// A cell without an error bit adds nothing, so a superset gives the same
+// result.
+func (e *Engine) NoisyCellVerdicts(cells *bitset.Set, good, faulty []*sim.Response, blocks []*sim.Block, m noise.Model, rp RetryPolicy) (*Verdicts, *Reliability) {
+	c := e.sessionContribs(cells, good, faulty, blocks)
 	defer e.arenas.Put(c)
 	v := e.NewVerdicts()
 	v.Unknown = rows(make([]bool, e.plan.Partitions*e.vgroups), e.vgroups)
@@ -214,43 +228,32 @@ func (e *Engine) NoisyVerdicts(good, faulty []*sim.Response, blocks []*sim.Block
 // sessionContribs gathers, per session, the error bits it captures, each
 // with the pattern it occurs on and its syndrome — the sparse substrate
 // NoisyVerdicts replays once per session execution under fresh activation
-// coins. One walk over the responses lists the error bits and counts
-// each bit's session in every partition; a counting sort then fills the
-// arena. The result comes from e.arenas; the caller puts it back.
-func (e *Engine) sessionContribs(good, faulty []*sim.Response, blocks []*sim.Block) *contribs {
+// coins. One walk over the words of cells, block by block and in ascending
+// cell order within a block, lists the error bits and counts each bit's
+// session in every partition; a counting sort then fills the arena. The
+// result comes from e.arenas; the caller puts it back.
+func (e *Engine) sessionContribs(cells *bitset.Set, good, faulty []*sim.Response, blocks []*sim.Block) *contribs {
 	c, _ := e.arenas.Get().(*contribs)
 	if c == nil {
 		c = new(contribs)
 	}
 	c.bits = c.bits[:0]
 	c.start = append(c.start[:0], make([]int32, e.plan.Partitions*e.vgroups+1)...)
-	totalClocks := 0
-	for _, b := range blocks {
-		totalClocks += b.N * e.shiftsL
-	}
-	if totalClocks != e.clocks {
-		panic(fmt.Sprintf("bist: blocks hold %d clocks of patterns, engine sized for %d", totalClocks, e.clocks))
-	}
+	e.checkClocks(blocks)
 	patternBase := 0
 	for bi, b := range blocks {
 		mask := b.Mask()
-		g, f := good[bi], faulty[bi]
-		for cell := range g.Next {
-			diff := (g.Next[cell] ^ f.Next[cell]) & mask
-			if diff == 0 {
-				continue
-			}
-			chain := e.chainOf[cell]
-			pos := e.posOf[cell]
-			for d := diff; d != 0; d &= d - 1 {
+		g, f := good[bi].Next, faulty[bi].Next
+		cells.ForEach(func(cell int) {
+			chain, pos := e.chainOf[cell], e.posOf[cell]
+			for d := (g[cell] ^ f[cell]) & mask; d != 0; d &= d - 1 {
 				p := patternBase + bits.TrailingZeros64(d)
-				tau := p*e.shiftsL + pos
-				c.bits = append(c.bits, errBit{pat: int32(p), cell: int32(cell), syn: e.xp[totalClocks-1-tau+chain]})
+				c.bits = append(c.bits, errBit{pat: int32(p), cell: int32(cell), syn: e.bitSyndrome(p, chain, pos)})
 				for t := range e.parts[chain] {
 					c.start[e.session(chain, pos, t)]++
 				}
 			}
-		}
+		})
 		patternBase += b.N
 	}
 	for s := 1; s < len(c.start); s++ {

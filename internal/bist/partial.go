@@ -3,6 +3,7 @@ package bist
 import (
 	"context"
 
+	"repro/internal/bitset"
 	"repro/internal/retry"
 	"repro/internal/sim"
 )
@@ -31,9 +32,21 @@ func (rp RetryPolicy) Policy() retry.Policy {
 // with ctx's error; the caller diagnoses v.Prefix(t), a sound superset
 // because partition intersection only ever shrinks the candidate set. A
 // fully observed run returns (Partitions, nil) and leaves v exactly as
-// VerdictsInto does.
+// VerdictsInto does. Like VerdictsInto it scans every cell for the
+// failing ones; CellVerdictsUpTo takes them from the caller.
 func (e *Engine) VerdictsUpTo(ctx context.Context, good, faulty []*sim.Response, blocks []*sim.Block, v *Verdicts) (int, error) {
-	e.VerdictsInto(good, faulty, blocks, v)
+	cells := e.failingCells(good, faulty, blocks)
+	defer e.cellSets.Put(cells)
+	return e.CellVerdictsUpTo(ctx, cells, good, faulty, blocks, v)
+}
+
+// CellVerdictsUpTo is VerdictsUpTo over a known failing-cell set, the
+// per-fault verdict step of every sweep: cells must hold every cell whose
+// faulty words differ from the good ones (the simulator's
+// Result.FailingCells). Only those cells' words are read, so the step
+// costs the fault's errors; a superset gives the same verdicts.
+func (e *Engine) CellVerdictsUpTo(ctx context.Context, cells *bitset.Set, good, faulty []*sim.Response, blocks []*sim.Block, v *Verdicts) (int, error) {
+	e.cellVerdicts(cells, good, faulty, blocks, v)
 	for t := range v.Fail {
 		if err := ctx.Err(); err != nil {
 			for u := t; u < len(v.Fail); u++ {

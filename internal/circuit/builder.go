@@ -299,6 +299,15 @@ func (c *Circuit) finish() error {
 		}
 	}
 	c.fanoutOff, c.fanoutArena = off, arena
+	// Output positions, chained back to front so each chain ascends.
+	c.poFirst = make([]int32, len(c.Nets))
+	c.poNext = make([]int32, len(c.Outputs))
+	for pos := len(c.Outputs) - 1; pos >= 0; pos-- {
+		if id := c.Outputs[pos]; id >= 0 && int(id) < len(c.Nets) {
+			c.poNext[pos] = c.poFirst[id]
+			c.poFirst[id] = int32(pos) + 1
+		}
+	}
 	c.levelOf = make([]int32, len(c.Nets))
 	// Kahn's algorithm seeded from structural nets (inputs and DFF outputs).
 	queue := make([]NetID, 0, len(c.Nets))

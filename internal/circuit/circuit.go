@@ -44,6 +44,11 @@ type Circuit struct {
 	levelOf     []int32 // per-net level; inputs and DFF outputs are level 0
 	cones       []atomic.Pointer[Cone]
 	walks       sync.Pool // of *coneWalk
+	// Output positions: poFirst[id] is 1 + the first position of net id
+	// in Outputs (0 for other nets), poNext[pos] 1 + the next position
+	// declaring the same net (0 after the last).
+	poFirst []int32
+	poNext  []int32
 
 	nameOnce sync.Once
 	byName   map[string]NetID // built on the first NetByName
@@ -154,6 +159,20 @@ func (c *Circuit) DFFIndex(id NetID) int {
 	}
 	return int(c.dffIdx[id]) - 1
 }
+
+// OutputPos returns the first position of id within Outputs, or -1 when
+// id is not a primary output. A net declared as an output more than once
+// has its later positions chained through NextOutputPos, so
+//
+//	for pos := c.OutputPos(id); pos >= 0; pos = c.NextOutputPos(pos)
+//
+// visits every position of id in ascending order. Like Fanout, it must
+// not be called when Validated is false.
+func (c *Circuit) OutputPos(id NetID) int { return int(c.poFirst[id]) - 1 }
+
+// NextOutputPos returns the next position within Outputs after pos that
+// declares the same net, or -1 after the last.
+func (c *Circuit) NextOutputPos(pos int) int { return int(c.poNext[pos]) - 1 }
 
 // FanoutCone returns every net reachable from start (inclusive) by
 // following gate connectivity without passing through a flip-flop: this is

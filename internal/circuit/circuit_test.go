@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -110,6 +111,36 @@ func TestDFFIndex(t *testing.T) {
 	}
 	if c.DFFIndex(c.Inputs[0]) != -1 {
 		t.Error("DFFIndex of an input should be -1")
+	}
+}
+
+// TestOutputPos checks the per-net output index: every position of a net
+// declared as an output, in ascending order, including repeated
+// declarations, a flip-flop output and a primary input declared as
+// outputs; nets that are no output report -1.
+func TestOutputPos(t *testing.T) {
+	b := NewBuilder("dupout")
+	b.Input("a").Input("b")
+	b.Output("g").Output("q").Output("g").Output("a").Output("g")
+	b.DFF("q", "h")
+	b.Gate("g", logic.OpAnd, "a", "q")
+	b.Gate("h", logic.OpXor, "g", "b")
+	c, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[NetID][]int)
+	for pos, id := range c.Outputs {
+		want[id] = append(want[id], pos)
+	}
+	for id := range c.Nets {
+		var got []int
+		for pos := c.OutputPos(NetID(id)); pos >= 0; pos = c.NextOutputPos(pos) {
+			got = append(got, pos)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want[NetID(id)]) {
+			t.Errorf("net %s: output positions %v, want %v", c.Nets[id].Name, got, want[NetID(id)])
+		}
 	}
 }
 

@@ -152,7 +152,7 @@ func annotatePanic(lane int, f sim.Fault, c *circuit.Circuit) {
 }
 
 // DiagnoseFaultContext is DiagnoseFault with a deadline: verdicts are
-// collected partition by partition (bist.VerdictsUpTo) and a context
+// collected partition by partition (bist.CellVerdictsUpTo) and a context
 // ending mid-collection degrades to a diagnosis of the observed prefix
 // — a sound, conservative superset of the full candidate set, because
 // each further partition only ever removes candidates (or, under a vote

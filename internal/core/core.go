@@ -421,11 +421,11 @@ func (w *diagWorker) diagnose(ctx context.Context, f sim.Fault, actual *bitset.S
 			// the noise a fault sees is independent of diagnosis order.
 			m := w.o.Noise.Fork(uint64(int64(f.Net)+1), uint64(int64(f.Gate)+1),
 				uint64(int64(f.Pin)+1), uint64(f.Stuck))
-			v, fd.Reliability = w.eng.NoisyVerdicts(w.good, faulty, w.blocks, m, w.o.Retry)
+			v, fd.Reliability = w.eng.NoisyCellVerdicts(actual, w.good, faulty, w.blocks, m, w.o.Retry)
 			fd.Baseline = w.diag.Diagnose(v)
 		}
 	} else {
-		k, err = w.eng.VerdictsUpTo(ctx, w.good, faulty, w.blocks, v)
+		k, err = w.eng.CellVerdictsUpTo(ctx, actual, w.good, faulty, w.blocks, v)
 	}
 	fd.Completeness.Observed = k
 	fd.Result = w.diag.DiagnoseRobust(v.Prefix(k), w.o.VoteThreshold)
@@ -443,7 +443,8 @@ func (b *CircuitBench) Run(faults []sim.Fault) *Study {
 // RunObserved is Run with a per-fault callback, invoked in fault order
 // after all diagnoses complete, for reporting and tracing. Each fault is
 // simulated on a worker's fork of the event-driven engine, which
-// evaluates only the fault's cone, and diagnosed there; runs of
+// evaluates only the nets the fault's events change, and diagnosed there
+// from its failing cells; runs of
 // consecutive faults are handed out over the worker pool, and idle
 // workers share the faults of the runs still in flight
 // (pipeline.RunLanes). Results are identical for every worker count and

@@ -16,9 +16,9 @@ import (
 // the fault-free machine, and its responses. It is independent of scan
 // configuration and partitioning, so every scheme swept over one circuit
 // shares it. The FaultSim inside carries the event-driven engine's shared
-// read-only state — per-block fault-free internal net values and the
-// circuit's memoized fault-site cones — so those are also built once per
-// cache entry and amortized across every borrowing bench and worker fork.
+// read-only state — per-block fault-free internal net values — so those
+// are also built once per cache entry and amortized across every
+// borrowing bench and worker fork.
 type simArtifacts struct {
 	blocks []*sim.Block
 	fs     *sim.FaultSim
@@ -29,8 +29,7 @@ type simArtifacts struct {
 // pair: everything a diagnosis run needs that does not depend on the
 // fault. Treat every field as read-only; concurrent fault loops must Fork
 // the FaultSim for per-goroutine scratch (forks share the cached
-// fault-free values and cone tables, and each gets its own event
-// worklist).
+// fault-free values, and each gets its own event worklist).
 type CircuitArtifacts struct {
 	Circuit *circuit.Circuit
 	Spec    Spec // normalized

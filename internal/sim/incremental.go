@@ -7,26 +7,32 @@ import (
 	"repro/internal/logic"
 )
 
-// This file implements the event-driven, cone-restricted fault simulation
-// engine — the default behind FaultSim.Run and FaultSim.RunInto. Instead of
+// This file implements the event-driven fault simulation engine — the
+// default behind FaultSim.Run and FaultSim.RunInto. Instead of
 // re-evaluating every gate of every block per fault, it seeds a single
 // event at the fault site against the cached fault-free internal net values
 // and propagates only through gates whose inputs actually changed, on a
-// levelized worklist. Scratch reset is O(events) via per-net epoch stamps,
-// and the frontier dying early means the fault is simply unexcited on that
-// block. The full-pass engine (Faulty, FaultyInto, RunReference) remains
-// the reference oracle, pinned bit-for-bit by the equivalence tests.
+// levelized worklist. The flip-flops and primary outputs an event reaches
+// are listed as it reaches them, so capture visits only those: no step
+// costs more than the fault's events, and no fan-out cone is walked.
+// Scratch reset is O(events) via per-net epoch stamps, and the frontier
+// dying early means the fault is simply unexcited on that block. The
+// full-pass engine (Faulty, FaultyInto, RunReference) remains the
+// reference oracle, pinned bit-for-bit by the equivalence tests.
 
 // incState is the event-driven engine's reusable scratch: per-net dirty
-// values stamped with the epoch that wrote them, scheduling stamps, and one
-// worklist bucket per combinational level. A fresh epoch invalidates all
-// stamps at once, so nothing is cleared between faults.
+// values stamped with the epoch that wrote them, scheduling stamps, one
+// worklist bucket per combinational level, and the observation points the
+// epoch's events reached. A fresh epoch invalidates all stamps at once, so
+// nothing is cleared between faults.
 type incState struct {
 	dirtyVal []uint64
 	dirtyAt  []uint32
 	schedAt  []uint32
 	epoch    uint32
 	levels   [][]circuit.NetID
+	cells    []int32 // scan cells whose D input changed this epoch
+	pos      []int32 // Outputs positions whose net changed this epoch
 }
 
 func newIncState(c *circuit.Circuit) *incState {
@@ -50,6 +56,7 @@ func (fs *FaultSim) incState() *incState {
 // begin opens a new event epoch. On the (rare) uint32 wraparound the stale
 // stamps are cleared so they cannot alias the new epoch.
 func (st *incState) begin() {
+	st.cells, st.pos = st.cells[:0], st.pos[:0]
 	st.epoch++
 	if st.epoch == 0 {
 		for i := range st.dirtyAt {
@@ -76,17 +83,52 @@ func (st *incState) mark(id circuit.NetID, v uint64) {
 
 // schedule enqueues the combinational readers of a changed net onto their
 // level buckets, deduplicated by epoch stamp. Flip-flops reading the net as
-// D input are not enqueued: the error stops there until capture, which the
-// caller derives from the dirty D values.
+// D input are not enqueued: the error stops there until capture, so they
+// are listed in cells, as is every output position of the net in pos. A
+// net is marked at most once per epoch, and a flip-flop has one D input,
+// so neither list repeats an entry.
 func (st *incState) schedule(c *circuit.Circuit, from circuit.NetID) {
 	for _, g := range c.Fanout(from) {
-		if !c.Nets[g].Op.Combinational() || st.schedAt[g] == st.epoch {
+		if st.schedAt[g] == st.epoch {
 			continue
 		}
 		st.schedAt[g] = st.epoch
+		if !c.Nets[g].Op.Combinational() {
+			st.cells = append(st.cells, int32(c.DFFIndex(g)))
+			continue
+		}
 		lvl := c.Level(g)
 		st.levels[lvl] = append(st.levels[lvl], g)
 	}
+	for p := c.OutputPos(from); p >= 0; p = c.NextOutputPos(p) {
+		st.pos = append(st.pos, int32(p))
+	}
+}
+
+// capture writes the words this epoch's events reached into r, a block's
+// response seeded with the fault-free values gv captures, and adds the
+// block's failing cells and detecting patterns to res. It reports whether
+// an error reached a primary output within mask.
+func (st *incState) capture(c *circuit.Circuit, gv []uint64, mask uint64, r *Response, res *Result) bool {
+	var anyErr uint64
+	for _, ci := range st.cells {
+		d := c.Nets[c.DFFs[ci]].Fanin[0]
+		nv := st.dirtyVal[d]
+		r.Next[ci] = nv
+		if diff := (nv ^ gv[d]) & mask; diff != 0 {
+			res.FailingCells.Add(int(ci))
+			anyErr |= diff
+		}
+	}
+	res.DetectingPatterns += bits.OnesCount64(anyErr)
+	poErr := false
+	for _, pi := range st.pos {
+		p := c.Outputs[pi]
+		nv := st.dirtyVal[p]
+		r.PO[pi] = nv
+		poErr = poErr || (nv^gv[p])&mask != 0
+	}
+	return poErr
 }
 
 // propagate drains the levelized worklist. Processing levels in increasing
@@ -194,11 +236,6 @@ func (fs *FaultSim) eventRun(f Fault, faulty []*Response, sc *Scratch, res *Resu
 		return
 	}
 
-	site := f.Net
-	if !f.Stem() {
-		site = f.Gate
-	}
-	cone := c.Cone(site)
 	st := fs.incState()
 	poSeen := false
 	for bi, b := range fs.blocks {
@@ -208,37 +245,12 @@ func (fs *FaultSim) eventRun(f Fault, faulty []*Response, sc *Scratch, res *Resu
 			continue // frontier dead: fault unexcited on this block
 		}
 		fs.sim.propagate(st, gv)
-		mask := b.Mask()
-		var anyErr uint64
-		for _, ci := range cone.Cells {
-			d := c.Nets[c.DFFs[ci]].Fanin[0]
-			if st.dirtyAt[d] != st.epoch {
-				continue
-			}
-			nv := st.dirtyVal[d]
-			faulty[bi].Next[ci] = nv
-			if sc != nil {
-				sc.touchedCells[bi] = append(sc.touchedCells[bi], int32(ci))
-			}
-			if diff := (nv ^ gv[d]) & mask; diff != 0 {
-				res.FailingCells.Add(ci)
-				anyErr |= diff
-			}
+		if st.capture(c, gv, b.Mask(), faulty[bi], res) {
+			poSeen = true
 		}
-		res.DetectingPatterns += bits.OnesCount64(anyErr)
-		for _, pi := range cone.POs {
-			p := c.Outputs[pi]
-			if st.dirtyAt[p] != st.epoch {
-				continue
-			}
-			nv := st.dirtyVal[p]
-			faulty[bi].PO[pi] = nv
-			if sc != nil {
-				sc.touchedPOs[bi] = append(sc.touchedPOs[bi], int32(pi))
-			}
-			if (nv^gv[p])&mask != 0 {
-				poSeen = true
-			}
+		if sc != nil {
+			sc.touchedCells[bi] = append(sc.touchedCells[bi], st.cells...)
+			sc.touchedPOs[bi] = append(sc.touchedPOs[bi], st.pos...)
 		}
 	}
 	res.POOnly = poSeen && res.FailingCells.Empty()

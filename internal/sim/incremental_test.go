@@ -128,35 +128,73 @@ func TestEventTransitionEquivalence(t *testing.T) {
 }
 
 // TestEventResultWithinCone checks the structural guarantee the engine
-// rests on: every failing cell of a single stuck-at fault lies in the
-// memoized cone of its site.
+// rests on, for stuck-at and transition faults: every failing cell lies in
+// the memoized cone of its site. The engine reads no cone, so the memoized
+// walk is an independent check of where its events went.
 func TestEventResultWithinCone(t *testing.T) {
 	c := equivalenceCircuit(t, "s953")
 	blocks := equivalenceBlocks(c, []int{64}, 14)
 	fs := NewFaultSim(c, blocks)
-	for _, f := range FullFaultList(c) {
-		res := fs.Run(f)
-		if res.FailingCells.Empty() {
-			continue
-		}
+	within := func(label string, res *Result, cells []int) {
+		t.Helper()
 		inCone := make(map[int]bool)
-		if !f.Stem() && c.Nets[f.Gate].Op == logic.OpDFF {
-			// A branch fault on a D pin corrupts exactly that cell.
-			inCone[c.DFFIndex(f.Gate)] = true
-		} else {
-			site := f.Net
-			if !f.Stem() {
-				site = f.Gate
-			}
-			for _, cell := range c.Cone(site).Cells {
-				inCone[cell] = true
-			}
+		for _, cell := range cells {
+			inCone[cell] = true
 		}
 		res.FailingCells.ForEach(func(cell int) {
 			if !inCone[cell] {
-				t.Fatalf("%s: failing cell %d outside cone of its site", f.Describe(c), cell)
+				t.Fatalf("%s: failing cell %d outside cone of its site", label, cell)
 			}
 		})
+	}
+	for _, f := range FullFaultList(c) {
+		switch {
+		case !f.Stem() && c.Nets[f.Gate].Op == logic.OpDFF:
+			// A branch fault on a D pin corrupts exactly that cell.
+			within(f.Describe(c), fs.Run(f), []int{c.DFFIndex(f.Gate)})
+		case f.Stem():
+			within(f.Describe(c), fs.Run(f), c.Cone(f.Net).Cells)
+		default:
+			within(f.Describe(c), fs.Run(f), c.Cone(f.Gate).Cells)
+		}
+	}
+	detected := 0
+	for _, f := range TransitionFaultList(c) {
+		res := fs.RunTransition(f)
+		if res.Detected() {
+			detected++
+		}
+		within(f.Describe(c), res, c.Cone(f.Net).Cells)
+	}
+	if detected == 0 {
+		t.Fatal("no transition fault detected")
+	}
+}
+
+// TestEventDuplicateOutputs pins the event engine's output observation to
+// the reference on a netlist whose outputs repeat a gate, and also name a
+// flip-flop output and a primary input: every declared position of a
+// changed net must be patched.
+func TestEventDuplicateOutputs(t *testing.T) {
+	b := circuit.NewBuilder("dupout")
+	b.Input("a").Input("b").Input("c")
+	b.Output("g").Output("q").Output("g").Output("a").Output("h").Output("g")
+	b.DFF("q", "h").DFF("r", "g")
+	b.Gate("g", logic.OpAnd, "a", "q")
+	b.Gate("h", logic.OpXor, "g", "b")
+	b.Gate("k", logic.OpOr, "h", "c", "r")
+	b.Output("k")
+	c, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := NewFaultSim(c, equivalenceBlocks(c, []int{64, 9}, 15))
+	sc := fs.NewScratch()
+	for _, f := range FullFaultList(c) {
+		requireSameResult(t, f.Describe(c), fs.RunInto(f, sc), fs.RunReference(f))
+	}
+	for _, f := range TransitionFaultList(c) {
+		requireSameResult(t, f.Describe(c), fs.RunTransition(f), fs.RunTransitionReference(f))
 	}
 }
 

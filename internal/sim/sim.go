@@ -240,8 +240,8 @@ func (s *Simulator) FaultyInto(blocks []*Block, f Fault, dst []*Response) {
 
 // FaultSim couples a circuit with a fixed pattern set, caching both the
 // good captured responses and the fault-free internal net values of every
-// block, so each fault costs only an event-driven pass over its fan-out
-// cone (see incremental.go). The full-pass engine remains available as the
+// block, so each fault costs only an event-driven pass over the nets its
+// events change (see incremental.go). The full-pass engine remains available as the
 // reference oracle.
 type FaultSim struct {
 	sim      *Simulator

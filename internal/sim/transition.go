@@ -136,14 +136,13 @@ func (fs *FaultSim) twoCycle() *twoCycleCache {
 // RunTransition simulates a transition fault under launch-off-capture with
 // the event-driven engine: the faulty net's cycle-2 value is forced by the
 // delay-fault semantics against its cycle-1 value, and the resulting event
-// propagates through the fault's fan-out cone over the cached two-cycle
-// fault-free values. The Result's Faulty responses are the cycle-2 captured
-// stream, bit-identical to RunTransitionReference.
+// propagates over the cached two-cycle fault-free values and is captured
+// like a stuck-at fault's. The Result's Faulty responses are the cycle-2
+// captured stream, bit-identical to RunTransitionReference.
 func (fs *FaultSim) RunTransition(f TransitionFault) *Result {
 	c := fs.sim.c
 	tc := fs.twoCycle()
 	st := fs.incState()
-	cone := c.Cone(f.Net)
 	res := &Result{
 		Fault:        Fault{Net: f.Net, Gate: -1, Pin: -1},
 		FailingCells: bitset.New(c.NumDFFs()),
@@ -166,31 +165,8 @@ func (fs *FaultSim) RunTransition(f TransitionFault) *Result {
 		st.mark(f.Net, forced)
 		st.schedule(c, f.Net)
 		fs.sim.propagate(st, gv)
-		mask := b.Mask()
-		var anyErr uint64
-		for _, ci := range cone.Cells {
-			d := c.Nets[c.DFFs[ci]].Fanin[0]
-			if st.dirtyAt[d] != st.epoch {
-				continue
-			}
-			nv := st.dirtyVal[d]
-			bad.Next[ci] = nv
-			if diff := (nv ^ gv[d]) & mask; diff != 0 {
-				res.FailingCells.Add(ci)
-				anyErr |= diff
-			}
-		}
-		res.DetectingPatterns += bits.OnesCount64(anyErr)
-		for _, pi := range cone.POs {
-			p := c.Outputs[pi]
-			if st.dirtyAt[p] != st.epoch {
-				continue
-			}
-			nv := st.dirtyVal[p]
-			bad.PO[pi] = nv
-			if (nv^gv[p])&mask != 0 {
-				poSeen = true
-			}
+		if st.capture(c, gv, b.Mask(), bad, res) {
+			poSeen = true
 		}
 	}
 	res.POOnly = poSeen && res.FailingCells.Empty()

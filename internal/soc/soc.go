@@ -93,9 +93,10 @@ func (s *SOC) CoreByName(name string) (int, bool) {
 // GlobalConeCells returns the global meta-chain cell indices a fault at
 // site in core i can corrupt within one capture cycle: the core's memoized
 // fan-out cone cells shifted to its contiguous segment of the daisy order.
-// This is the event-driven engine's cone restriction composed with the
-// TestRail's segment structure — a spot defect in one core can only ever
-// disturb this subset of its segment.
+// It bounds, by structure alone, where a spot defect in one core can land
+// on the TestRail; the event-driven engine does not read it (it captures
+// only the cells its events reach), so checking its failing cells against
+// this set is an independent test.
 func (s *SOC) GlobalConeCells(core int, site circuit.NetID) []int {
 	lo, _ := s.CellRange(core)
 	local := s.Cores[core].Circuit.Cone(site).Cells
