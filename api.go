@@ -145,6 +145,10 @@ func FullFaultList(c *Circuit) []Fault { return sim.FullFaultList(c) }
 // CollapseFaults merges structurally equivalent faults.
 func CollapseFaults(c *Circuit, faults []Fault) []Fault { return sim.CollapseFaults(c, faults) }
 
+// CollapsedFaults returns the collapsed stuck-at fault list of a circuit:
+// CollapseFaults over FullFaultList, built without the uncollapsed list.
+func CollapsedFaults(c *Circuit) []Fault { return sim.CollapsedFaults(c) }
+
 // SampleFaults deterministically samples up to n faults.
 func SampleFaults(faults []Fault, n int, seed int64) []Fault {
 	return sim.SampleFaults(faults, n, seed)

@@ -2,6 +2,7 @@ package scanbist_test
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -66,6 +67,9 @@ func TestFaultHelpers(t *testing.T) {
 	collapsed := scanbist.CollapseFaults(c, full)
 	if len(collapsed) >= len(full) {
 		t.Error("collapsing did not reduce the list")
+	}
+	if !slices.Equal(scanbist.CollapsedFaults(c), collapsed) {
+		t.Error("CollapsedFaults differs from CollapseFaults over the full list")
 	}
 	sample := scanbist.SampleFaults(collapsed, 10, 3)
 	if len(sample) != 10 {

@@ -611,15 +611,39 @@ func BenchmarkPlanBatchesCold(b *testing.B) {
 	}
 }
 
-// BenchmarkCollapseFaults times equivalence collapsing of the full s13207
-// stuck-at fault list.
+// BenchmarkCollapseFaults times the production collapsed fault list of
+// s13207, built straight from the netlist (sim.CollapsedFaults).
 func BenchmarkCollapseFaults(b *testing.B) {
 	c := benchgen.MustGenerate("s13207")
-	full := sim.FullFaultList(c)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(sim.CollapseFaults(c, full)) == 0 {
+		if len(sim.CollapsedFaults(c)) == 0 {
+			b.Fatal("empty collapsed list")
+		}
+	}
+}
+
+// BenchmarkCircuitSetupCold times the cold set-up of the end-to-end
+// benchmark's cold operation after generation: NewCircuitBench on s13207
+// over an empty store directory (pattern expansion, fault-free
+// simulation and the engine build beside it, the store write), then the
+// collapsed fault list. Each iteration gets a fresh directory, so nothing
+// is read back.
+func BenchmarkCircuitSetupCold(b *testing.B) {
+	c := benchgen.MustGenerate("s13207")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir := b.TempDir()
+		b.StartTimer()
+		cb, err := core.NewCircuitBench(c, core.Options{
+			Scheme: partition.TwoStep{}, Groups: 16, Partitions: 8, Patterns: 128, CacheDir: dir,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(cb.Faults()) == 0 {
 			b.Fatal("empty collapsed list")
 		}
 	}

@@ -64,7 +64,7 @@ func main() {
 	}
 	fmt.Printf("circuit: %s\n", c.Stats())
 
-	sample := sim.SampleFaults(sim.CollapseFaults(c, sim.FullFaultList(c)), *faults, *seed)
+	sample := sim.SampleFaults(sim.CollapsedFaults(c), *faults, *seed)
 
 	// PODEM ceiling.
 	g := atpg.New(c)

@@ -189,7 +189,7 @@ func coordinate(args []string, stdout, stderr io.Writer) int {
 				faultyCore = i
 			}
 			cc := s.Cores[faultyCore].Circuit
-			faults = sim.SampleFaults(sim.CollapseFaults(cc, sim.FullFaultList(cc)), sample.Faults, sample.Seed)
+			faults = sim.SampleFaults(sim.CollapsedFaults(cc), sample.Faults, sample.Seed)
 			label = fmt.Sprintf("%s core %s", s.Name, s.Cores[faultyCore].Name)
 			fmt.Fprintf(w, "target:   %s (%d cores, %d scan cells), faulty core %s\n",
 				s.Name, s.NumCores(), s.NumCells(), s.Cores[faultyCore].Name)
@@ -200,7 +200,7 @@ func coordinate(args []string, stdout, stderr io.Writer) int {
 			if err != nil {
 				return err
 			}
-			faults = sim.SampleFaults(sim.CollapseFaults(ckt, sim.FullFaultList(ckt)), sample.Faults, sample.Seed)
+			faults = sim.SampleFaults(sim.CollapsedFaults(ckt), sample.Faults, sample.Seed)
 			label = ckt.Name
 			fmt.Fprintf(w, "target:   %s\n", ckt.Stats())
 			study, runErr = co.RunCircuit(ctx, circ.Ref(ckt), opts, faults, shard.StuckAtCosts(ckt, faults), nil)

@@ -36,7 +36,7 @@ func main() {
 	prpg := lfsr.MustNew(lfsr.MustPrimitivePoly(16), 0xACE1)
 	blocks := bist.GenerateBlocks(prpg, c.NumInputs(), c.NumDFFs(), 128)
 	fs := sim.NewFaultSim(c, blocks)
-	allFaults := scanbist.CollapseFaults(c, scanbist.FullFaultList(c))
+	allFaults := scanbist.CollapsedFaults(c)
 	dict := scanbist.BuildDictionary(fs, allFaults)
 	fmt.Printf("dictionary: %s\n\n", dict.Stats())
 

@@ -27,7 +27,7 @@ func main() {
 	prpg := lfsr.MustNew(lfsr.MustPrimitivePoly(16), 0xACE1)
 	blocks := bist.GenerateBlocks(prpg, c.NumInputs(), c.NumDFFs(), patterns)
 	fs := sim.NewFaultSim(c, blocks)
-	faults := scanbist.SampleFaults(scanbist.CollapseFaults(c, scanbist.FullFaultList(c)), 400, 5)
+	faults := scanbist.SampleFaults(scanbist.CollapsedFaults(c), 400, 5)
 
 	// Phase 1: pseudorandom coverage.
 	cov := sim.MeasureCoverage(fs, faults)

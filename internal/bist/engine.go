@@ -17,7 +17,10 @@ import (
 // pattern the PRPG first supplies the scan-in bits (cell 0 first) and then
 // the primary-input bits, mirroring a scan-BIST controller that shifts the
 // chain full and then applies the PI part. Patterns are returned transposed
-// into 64-wide simulation blocks.
+// into 64-wide simulation blocks. The bits come from LFSR.StepInto, which
+// steps the register in a local variable for a whole cell or PI run; prpg
+// ends in the state nPatterns·(nCells+nPI) Steps would leave it in, so a
+// caller may keep stepping it.
 func GenerateBlocks(prpg *lfsr.LFSR, nPI, nCells, nPatterns int) []*sim.Block {
 	var blocks []*sim.Block
 	for done := 0; done < nPatterns; done += 64 {
@@ -27,12 +30,8 @@ func GenerateBlocks(prpg *lfsr.LFSR, nPI, nCells, nPatterns int) []*sim.Block {
 		}
 		b := &sim.Block{N: n, PI: make([]uint64, nPI), State: make([]uint64, nCells)}
 		for j := 0; j < n; j++ {
-			for i := 0; i < nCells; i++ {
-				b.State[i] |= prpg.Step() << uint(j)
-			}
-			for i := 0; i < nPI; i++ {
-				b.PI[i] |= prpg.Step() << uint(j)
-			}
+			prpg.StepInto(b.State, uint(j))
+			prpg.StepInto(b.PI, uint(j))
 		}
 		blocks = append(blocks, b)
 	}

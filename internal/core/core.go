@@ -346,10 +346,11 @@ func (b *CircuitBench) GoldenSignatures() [][]uint64 { return b.art.Golden }
 // Cost returns the plan's test-resource footprint.
 func (b *CircuitBench) Cost() bist.Cost { return b.art.Engine.Cost() }
 
-// Faults returns the collapsed stuck-at fault list of the circuit.
-func (b *CircuitBench) Faults() []sim.Fault {
-	return sim.CollapseFaults(b.Circuit, sim.FullFaultList(b.Circuit))
-}
+// Faults returns the collapsed stuck-at fault list of the circuit, built
+// straight from the netlist (sim.CollapsedFaults) on every call. The bench
+// keeps no copy: callers sample the list and drop it, so a memo would only
+// hold the whole list live for the bench's lifetime.
+func (b *CircuitBench) Faults() []sim.Fault { return sim.CollapsedFaults(b.Circuit) }
 
 // DiagnoseFault runs the complete flow for one fault: the event-driven
 // simulator and a one-off diagnosis worker. Run spreads the same steps

@@ -74,6 +74,21 @@ func (l *LFSR) Step() uint64 {
 	return out
 }
 
+// StepInto advances the register once per word of words and ORs each
+// output bit into bit j of its word, in order: words[i] gets the bit of
+// the i-th Step. The register is stepped in a local variable and stored
+// back once, so a long run costs no memory round trip per bit.
+func (l *LFSR) StepInto(words []uint64, j uint) {
+	state, poly, top := l.state, uint64(l.poly), uint(l.degree)
+	for i := range words {
+		state <<= 1
+		out := state >> top & 1
+		state ^= poly & -out
+		words[i] |= out << j
+	}
+	l.state = state
+}
+
 // Bit returns bit i of the current state (stage i's output).
 func (l *LFSR) Bit(i int) uint64 { return l.state >> uint(i) & 1 }
 

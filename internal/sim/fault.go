@@ -211,6 +211,109 @@ func CollapseFaults(c *circuit.Circuit, faults []Fault) []Fault {
 	return out
 }
 
+// CollapsedFaults returns the collapsed stuck-at fault list of c: the
+// list CollapseFaults(c, FullFaultList(c)) returns, built straight from
+// the netlist without materializing the uncollapsed list. The union-find
+// runs over the positions the faults would take in FullFaultList: stem
+// (net, v) at 2·net+v, and the branch fault of the k-th fanned-out gate
+// input (gates in NetID order, pins in order) at 2·nets+2k+v. Every class
+// keeps its earliest position as representative, and the representatives
+// come out in position order, so the result equals the two-step one fault
+// for fault.
+func CollapsedFaults(c *circuit.Circuit) []Fault {
+	nStems := 2 * len(c.Nets)
+	fannedOut := func(src circuit.NetID) bool { return len(c.Fanout(src)) > 1 }
+	size := nStems
+	for id := range c.Nets {
+		for _, src := range c.Nets[id].Fanin {
+			if fannedOut(src) {
+				size += 2
+			}
+		}
+	}
+	parent := make([]int32, size)
+	for i := range parent {
+		parent[i] = int32(i)
+	}
+	find := func(x int32) int32 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	union := func(a, b int32) {
+		ra, rb := find(a), find(b)
+		if ra < rb {
+			parent[rb] = ra
+		} else if rb < ra {
+			parent[ra] = rb
+		}
+	}
+
+	// The rules of CollapseFaults, pin by pin. branch counts the fanned-out
+	// gate inputs met so far: gates and pins are walked in list order, so
+	// it is the ordinal of the current pin's branch slots.
+	branch := int32(0)
+	for id := range c.Nets {
+		n := &c.Nets[id]
+		stem := int32(2 * id)
+		for _, src := range n.Fanin {
+			// in is the slot of the input fault s-a-0 (s-a-1 is in+1): the
+			// branch when the driver fans out, otherwise the driver's stem.
+			in := int32(2 * src)
+			if fannedOut(src) {
+				in = int32(nStems) + 2*branch
+				branch++
+			}
+			switch n.Op {
+			case logic.OpBuf:
+				union(in, stem)
+				union(in+1, stem+1)
+			case logic.OpNot:
+				union(in, stem+1)
+				union(in+1, stem)
+			case logic.OpAnd:
+				union(in, stem)
+			case logic.OpNand:
+				union(in, stem+1)
+			case logic.OpOr:
+				union(in+1, stem+1)
+			case logic.OpNor:
+				union(in+1, stem)
+			}
+		}
+	}
+
+	roots := 0
+	for i, p := range parent {
+		if p == int32(i) {
+			roots++
+		}
+	}
+	faults := make([]Fault, 0, roots)
+	for i := 0; i < nStems; i++ {
+		if parent[i] == int32(i) {
+			faults = append(faults, Fault{Net: circuit.NetID(i / 2), Gate: -1, Pin: -1, Stuck: uint8(i & 1)})
+		}
+	}
+	slot := nStems
+	for id := range c.Nets {
+		for pin, src := range c.Nets[id].Fanin {
+			if !fannedOut(src) {
+				continue
+			}
+			for v := range 2 {
+				if parent[slot] == int32(slot) {
+					faults = append(faults, Fault{Net: src, Gate: circuit.NetID(id), Pin: pin, Stuck: uint8(v)})
+				}
+				slot++
+			}
+		}
+	}
+	return faults
+}
+
 // SampleFaults deterministically samples up to n faults without
 // replacement. With n >= len(faults) a copy of the full list is returned.
 // Sampling is order-stable for a fixed seed regardless of platform.

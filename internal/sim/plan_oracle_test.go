@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -199,17 +200,90 @@ func TestCollapseFaultsMatchesMap(t *testing.T) {
 	}
 }
 
+// checkCollapsed pins CollapsedFaults to the two-step collapse it
+// replaces, CollapseFaults over FullFaultList.
+func checkCollapsed(t *testing.T, name string, c *circuit.Circuit) {
+	t.Helper()
+	got, want := CollapsedFaults(c), CollapseFaults(c, FullFaultList(c))
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: CollapsedFaults kept %d faults, CollapseFaults over the full list %d (first difference at %d)",
+			name, len(got), len(want), firstDiff(got, want))
+	}
+	if cap(got) != len(got) {
+		t.Fatalf("%s: CollapsedFaults returned %d faults in a slice of capacity %d, want it sized exactly", name, len(got), cap(got))
+	}
+}
+
+// TestCollapsedFaultsMatchCollapse pins the netlist-direct collapse to
+// CollapseFaults over the full fault list on every generated profile.
+func TestCollapsedFaultsMatchCollapse(t *testing.T) {
+	for _, p := range benchgen.Profiles() {
+		c, err := benchgen.Generate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkCollapsed(t, p.Name, c)
+	}
+}
+
+// fuzzOps are the ops a fuzzed netlist draws from: every op a net can be
+// driven by.
+var fuzzOps = []logic.Op{
+	logic.OpInput, logic.OpDFF, logic.OpBuf, logic.OpNot, logic.OpAnd, logic.OpNand,
+	logic.OpOr, logic.OpNor, logic.OpXor, logic.OpXnor, logic.OpConst0, logic.OpConst1,
+}
+
+// fuzzNetlist decodes bytes into a small acyclic netlist. Net 0 is an
+// input; then each 5-byte record (op, count, r0, r1, r2) drives one more
+// net with fuzzOps[op] over count-derived fan-in (within the op's arity)
+// read from nets r0, r1, r2 modulo the nets before it. Inputs and
+// constants get no fan-in, equal references put one net on two pins of a
+// gate, and any net read more than once is a fan-out stem.
+func fuzzNetlist(t *testing.T, data []byte) *circuit.Circuit {
+	t.Helper()
+	b := circuit.NewBuilder("fuzz")
+	b.Drive(b.Reserve("n0"), logic.OpInput)
+	for n := 1; len(data) >= 5 && n <= 64; data, n = data[5:], n+1 {
+		op := fuzzOps[int(data[0])%len(fuzzOps)]
+		k := op.MinInputs()
+		if op.MaxInputs() < 0 {
+			k += int(data[1]) % (4 - k) // up to the record's three references
+		}
+		fanin := make([]circuit.NetID, k)
+		for j := range fanin {
+			fanin[j] = circuit.NetID(int(data[2+j]) % n)
+		}
+		b.Drive(b.Reserve(fmt.Sprintf("n%d", n)), op, fanin...)
+	}
+	c, err := b.Build()
+	if err != nil {
+		t.Fatalf("fuzz netlist: %v", err)
+	}
+	return c
+}
+
 var fuzzCollapseCircuit = sync.OnceValue(func() *circuit.Circuit { return benchgen.MustGenerate("s298") })
 
-// FuzzCollapseFaults decodes arbitrary bytes into a fault list over s298 —
-// real faults (repeats included), stems and branches with raw field
-// values, branches with a wrong Net, out-of-range stuck values — and pins
-// CollapseFaults to the map-keyed reference.
+// FuzzCollapseFaults runs two arms on every input. The first decodes the
+// bytes into a fault list over s298 — real faults (repeats included),
+// stems and branches with raw field values, branches with a wrong Net,
+// out-of-range stuck values — and pins CollapseFaults to the map-keyed
+// reference. The second decodes the same bytes into a small netlist
+// (fuzzNetlist) and pins CollapsedFaults to CollapseFaults over its full
+// list.
 func FuzzCollapseFaults(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 0, 0, 0, 0, 1, 2, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{3, 0xff, 0xff, 0, 0, 0, 0, 1, 4, 5, 0, 6, 0, 1, 0, 0, 5, 9, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{6, 7, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 2, 7, 0, 0, 0, 0, 0, 0})
+	// Netlists: every op once over fanned-out inputs; gates reading one
+	// net on two pins; a chain of inverters and buffers off one stem.
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 2, 0, 1, 0, 0, 3, 0, 1, 0, 0,
+		4, 2, 0, 1, 2, 5, 2, 1, 2, 3, 6, 1, 0, 3, 0, 7, 1, 4, 1, 0, 8, 0, 5, 6, 0, 9, 1, 6, 7, 0,
+		10, 0, 0, 0, 0, 11, 0, 0, 0, 0, 1, 0, 9, 0, 0})
+	f.Add([]byte{0, 0, 0, 0, 0, 4, 1, 0, 0, 0, 5, 1, 1, 1, 1, 7, 2, 2, 2, 0, 8, 0, 3, 3, 0, 6, 2, 4, 1, 4})
+	f.Add([]byte{0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 2, 0, 1, 0, 0, 3, 0, 2, 0, 0, 2, 0, 3, 0, 0, 4, 1, 1, 4, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkCollapsed(t, "fuzz netlist", fuzzNetlist(t, data))
 		c := fuzzCollapseCircuit()
 		full := FullFaultList(c)
 		var faults []Fault

@@ -358,10 +358,10 @@ func (fs *FaultSim) NumPatterns() int {
 	return n
 }
 
-// CoreFaults returns the collapsed stuck-at fault list of core i.
+// CoreFaults returns the collapsed stuck-at fault list of core i, built
+// straight from the core's netlist (sim.CollapsedFaults) on every call.
 func (fs *FaultSim) CoreFaults(i int) []sim.Fault {
-	c := fs.soc.Cores[i].Circuit
-	return sim.CollapseFaults(c, sim.FullFaultList(c))
+	return sim.CollapsedFaults(fs.soc.Cores[i].Circuit)
 }
 
 // Result is the SOC-scope outcome of one core fault.
