@@ -19,6 +19,7 @@ import (
 	"repro/internal/bist"
 	"repro/internal/chaindiag"
 	"repro/internal/core"
+	"repro/internal/diagnosis"
 	"repro/internal/dictionary"
 	"repro/internal/experiments"
 	"repro/internal/lfsr"
@@ -502,30 +503,66 @@ func BenchmarkEngineBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkSuperpositionPrune times Diagnoser.Diagnose — intersection
-// candidates plus superposition pruning — over precomputed verdicts of a
-// 500-fault s13207 sample in the end-to-end benchmark's configuration
-// (two-step, 16 groups, 8 partitions, 128 patterns).
+// BenchmarkSuperpositionPrune times the perfect-tester diagnosis step of
+// a sweep, what the per-fault worker runs after the verdicts:
+// DiagnoseRobust (intersection candidates plus superposition pruning) and
+// CandidateCounts, over precomputed verdicts of the detected faults of
+// the end-to-end benchmark's plans (two-step, 8 partitions, 128
+// patterns). s13207: a 500-fault sample, 16 groups on one chain.
+// soc1-tam8: 30 faults per core of SOC1 over a TAM of width 8, 32 groups
+// per chain in per-chain verdict slots.
 func BenchmarkSuperpositionPrune(b *testing.B) {
-	cb, err := core.NewCircuitBench(benchgen.MustGenerate("s13207"), core.Options{
-		Scheme: partition.TwoStep{}, Groups: 16, Partitions: 8, Patterns: 128,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	art := cb.Artifacts()
-	var verdicts []*bist.Verdicts
-	for _, f := range sim.SampleFaults(cb.Faults(), 500, 1) {
-		if res := art.Sim.Run(f); res.Detected() {
-			verdicts = append(verdicts, art.Engine.Verdicts(art.Good, res.Faulty, art.Blocks))
+	o := core.Options{Scheme: partition.TwoStep{}, Groups: 16, Partitions: 8, Patterns: 128}
+	b.Run("s13207", func(b *testing.B) {
+		cb, err := core.NewCircuitBench(benchgen.MustGenerate("s13207"), o)
+		if err != nil {
+			b.Fatal(err)
 		}
-	}
+		art := cb.Artifacts()
+		var verdicts []*bist.Verdicts
+		for _, f := range sim.SampleFaults(cb.Faults(), 500, 1) {
+			if res := art.Sim.Run(f); res.Detected() {
+				verdicts = append(verdicts, art.Engine.Verdicts(art.Good, res.Faulty, art.Blocks))
+			}
+		}
+		benchDiagnoseStep(b, art.Diag, verdicts, o)
+	})
+	b.Run("soc1-tam8", func(b *testing.B) {
+		s, err := soc.Preset("soc1")
+		if err != nil {
+			b.Fatal(err)
+		}
+		o := o
+		o.Groups, o.Chains = 32, 8
+		sb, err := core.NewSOCBench(s, o)
+		if err != nil {
+			b.Fatal(err)
+		}
+		art := sb.Artifacts()
+		good, blocks := art.Sim.Good(), art.Sim.Blocks()
+		var verdicts []*bist.Verdicts
+		for ci := range s.Cores {
+			for _, f := range sim.SampleFaults(sb.CoreFaults(ci), 30, 1) {
+				if res := art.Sim.Run(ci, f); res.Detected() {
+					verdicts = append(verdicts, art.Engine.Verdicts(good, res.Faulty, blocks))
+				}
+			}
+		}
+		benchDiagnoseStep(b, art.Diag, verdicts, o)
+	})
+}
+
+// benchDiagnoseStep runs DiagnoseRobust and CandidateCounts over every
+// verdict set per iteration and reports ns per fault.
+func benchDiagnoseStep(b *testing.B, diag *diagnosis.Diagnoser, verdicts []*bist.Verdicts, o core.Options) {
+	counts := make([]int, o.Partitions)
 	b.ReportAllocs()
 	b.ResetTimer()
 	sink := 0
 	for i := 0; i < b.N; i++ {
 		for _, v := range verdicts {
-			sink += art.Diag.Diagnose(v).Pruned.Len()
+			sink += diag.DiagnoseRobust(v, o.VoteThreshold).Pruned.Len()
+			diag.CandidateCounts(v, counts)
 		}
 	}
 	b.StopTimer()
@@ -533,6 +570,46 @@ func BenchmarkSuperpositionPrune(b *testing.B) {
 		b.Fatal("no candidates")
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(verdicts)), "ns/fault")
+}
+
+// BenchmarkDiagnoserBuild times diagnosis.FromEngine, the per-plan build
+// of the Diagnoser's cell tables, and reports its B/op — the Diagnoser is
+// held for the life of every cached artifact set. s13207: one 638-cell
+// chain in 16 groups; soc1: SOC1's single meta chain; soc1-tam8: its
+// eight meta chains in per-chain verdict slots, 32 groups each; all with
+// the two-step scheme and 8 partitions.
+func BenchmarkDiagnoserBuild(b *testing.B) {
+	chip, err := soc.SOC1()
+	if err != nil {
+		b.Fatal(err)
+	}
+	tam8, err := chip.MetaChains(8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		cfg    scan.Config
+		groups int
+	}{
+		{"s13207", scan.SingleChain(benchgen.MustGenerate("s13207").NumDFFs()), 16},
+		{"soc1", chip.SingleMetaChain(), 32},
+		{"soc1-tam8", tam8, 32},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			eng, err := bist.NewEngine(c.cfg, bist.Plan{Scheme: partition.TwoStep{}, Groups: c.groups, Partitions: 8}, 128)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := diagnosis.FromEngine(eng); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkNoisyDiagnosis times the per-fault step of noisy SOC diagnosis

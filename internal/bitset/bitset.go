@@ -61,6 +61,12 @@ func (s *Set) Contains(i int) bool {
 	return s.words[i/64]>>uint(i%64)&1 == 1
 }
 
+// Words returns the set's backing words: element i is bit i%64 of word
+// i/64. The slice aliases the set, so writes through it change the set.
+// It serves word-parallel algorithms over sets built with New at a known
+// size; an Add that grows the set leaves it stale.
+func (s *Set) Words() []uint64 { return s.words }
+
 // Len returns the number of elements.
 func (s *Set) Len() int {
 	n := 0

@@ -11,8 +11,8 @@ import (
 )
 
 // candidatesScan is the reference Candidates must match: every cell ×
-// partition is visited through groupOf, instead of starting from the
-// members of partition 0's failing slots.
+// partition is visited through groupOf, instead of intersecting the
+// failing-slot masks.
 func (d *Diagnoser) candidatesScan(v *bist.Verdicts, k int) *bitset.Set {
 	if k > len(v.Fail) {
 		k = len(v.Fail)
@@ -106,28 +106,75 @@ func TestCandidatesMatchScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, lay := range []layout{singleChain, sharedSlots, perChainSlots} {
 		for i := 0; i < 300; i++ {
-			d, v, err := randomPruneCase(rng, lay)
+			sh := caseShape(rng.Intn(numShapes))
+			d, v, err := randomPruneCase(rng, lay, sh)
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkCandidatesMatchScan(t, d, v, fmt.Sprintf("%v case %d", lay, i))
+			checkCandidatesMatchScan(t, d, v, fmt.Sprintf("%v shape %d case %d", lay, sh, i))
 		}
 	}
 }
 
-// FuzzCandidatesMatchScan compares the failing-slot-driven Candidates and
+// FuzzCandidatesMatchScan compares the mask-algebra Candidates and
 // CandidateCounts with the cell × partition scans on random
-// configurations and verdicts drawn from the fuzzed seed.
+// configurations and verdicts drawn from the fuzzed seed, in the fuzzed
+// layout and shape.
 func FuzzCandidatesMatchScan(f *testing.F) {
-	for seed := int64(0); seed < 6; seed++ {
-		f.Add(seed, uint8(seed))
-	}
-	f.Fuzz(func(t *testing.T, seed int64, lay uint8) {
-		l := layout(lay % 3)
-		d, v, err := randomPruneCase(rand.New(rand.NewSource(seed)), l)
+	addShapeSeeds(f)
+	f.Fuzz(func(t *testing.T, seed int64, lay, shape uint8) {
+		l, sh := layout(lay%3), caseShape(shape%numShapes)
+		d, v, err := randomPruneCase(rand.New(rand.NewSource(seed)), l, sh)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkCandidatesMatchScan(t, d, v, fmt.Sprintf("%v seed %d", l, seed))
+		checkCandidatesMatchScan(t, d, v, fmt.Sprintf("%v shape %d seed %d", l, sh, seed))
 	})
+}
+
+// TestMasksAcrossChunks runs the oracles on configurations wider than one
+// chunk of the word-parallel passes, and with more partitions than the
+// vote counters keep on the stack.
+func TestMasksAcrossChunks(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for i, lay := range []layout{singleChain, sharedSlots, perChainSlots} {
+		sh := caseShape(i) // shuffled, natural and interleaved cell ids
+		numCells := 2*chunkWords*64 + rng.Intn(200)
+		d, v, err := pruneCase(rng, lay, sh, numCells, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		what := fmt.Sprintf("%v shape %d, %d cells", lay, sh, numCells)
+		checkCandidatesMatchScan(t, d, v, what)
+		checkPruneMatchesScan(t, d, v, what)
+		for voteK := 1; voteK <= 3; voteK++ {
+			checkVotedMatchesScan(t, d, v, 3, voteK, what)
+		}
+	}
+	// Sixteen partitions need a fifth counter plane, past the stack's.
+	k := 1 << votePlanes
+	d, v, err := pruneCase(rng, sharedSlots, wideCells, 200, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	triState(rng, v)
+	for voteK := 1; voteK <= k+1; voteK++ {
+		checkVotedMatchesScan(t, d, v, k, voteK, fmt.Sprintf("%d partitions", k))
+	}
+}
+
+// TestCandidateCountsAllocFree checks the allocation-free promise of
+// CandidateCounts, on one chunk of words and on several.
+func TestCandidateCountsAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, numCells := range []int{300, 2*chunkWords*64 + 100} {
+		d, v, err := pruneCase(rng, perChainSlots, wideRows, numCells, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts := make([]int, len(v.Fail)+2)
+		if n := testing.AllocsPerRun(50, func() { d.CandidateCounts(v, counts) }); n != 0 {
+			t.Errorf("%d cells: CandidateCounts allocates %v times per call", numCells, n)
+		}
+	}
 }

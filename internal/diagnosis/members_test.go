@@ -3,6 +3,7 @@ package diagnosis
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bist"
@@ -13,7 +14,7 @@ import (
 
 // pruneScan is the reference pruner prune must match: the same fixpoint,
 // but each failing session's members are found by scanning every cell of
-// every chain instead of through the per-partition slot index.
+// every chain on every pass instead of through counters and slot masks.
 func (d *Diagnoser) pruneScan(v *bist.Verdicts, cand *bitset.Set, kmax int) (pruned, confirmed *bitset.Set) {
 	pruned = cand.Clone()
 	confirmed = bitset.New(d.cfg.NumCells)
@@ -88,32 +89,114 @@ func (l layout) String() string {
 	return [...]string{"single-chain", "shared-slot", "per-chain"}[l]
 }
 
+// caseShape selects the geometry of a random case. Bits 0–1 pick how cell
+// ids run along the chains (shuffled, natural, interleaved, or natural
+// reversed). Bit 2 draws up to 300 cells instead of up to 60, so masks
+// cross word boundaries, and chain boundaries fall inside words. Bit 3
+// makes the verdict rows wider than the highest slot any cell occupies.
+type caseShape uint8
+
+const (
+	orderBits caseShape = 3
+	wideCells caseShape = 4
+	wideRows  caseShape = 8
+	numShapes           = 16
+)
+
+// scanOrder lays the cell ids 0..Σlengths−1 along chains of the given
+// lengths.
+// Shuffled ids make every slot span the whole word range; natural ids
+// keep a per-chain slot within its chain's words; interleaved ids deal
+// the cells round-robin over the chains, so chain spans overlap.
+func (sh caseShape) scanOrder(rng *rand.Rand, lengths []int) [][]int {
+	numCells := 0
+	for _, n := range lengths {
+		numCells += n
+	}
+	chains := make([][]int, len(lengths))
+	switch sh & orderBits {
+	case 0:
+		perm := rng.Perm(numCells)
+		for ci, n := range lengths {
+			chains[ci], perm = perm[:n], perm[n:]
+		}
+	case 2:
+		for cell, ci := 0, 0; cell < numCells; ci = (ci + 1) % len(chains) {
+			if len(chains[ci]) < lengths[ci] {
+				chains[ci] = append(chains[ci], cell)
+				cell++
+			}
+		}
+	default:
+		cell := 0
+		for ci, n := range lengths {
+			for range n {
+				chains[ci] = append(chains[ci], cell)
+				cell++
+			}
+		}
+		if sh&orderBits == 3 {
+			for _, ch := range chains {
+				for i := range ch {
+					ch[i] = numCells - 1 - ch[i]
+				}
+			}
+		}
+	}
+	return chains
+}
+
 // randomPruneCase builds a Diagnoser over a random configuration of the
-// given layout and random verdicts for it. Half the cases derive error
-// signatures from a random set of failing cells with random syndromes, as
-// a linear compactor would (so sessions confirm and prune); the rest draw
-// verdicts and signatures independently, including sessions that fail
-// with a zero signature.
-func randomPruneCase(rng *rand.Rand, lay layout) (*Diagnoser, *bist.Verdicts, error) {
+// given layout and shape, and random verdicts for it. Chains get random
+// lengths; each partition groups its positions either at random or in
+// contiguous intervals, which keeps slot spans narrow. Half the cases
+// derive error signatures from a random set of failing cells with random
+// syndromes, as a linear compactor would (so sessions confirm and prune);
+// the rest draw verdicts and signatures independently, including
+// sessions that fail with a zero signature and failing slots no cell
+// occupies.
+func randomPruneCase(rng *rand.Rand, lay layout, sh caseShape) (*Diagnoser, *bist.Verdicts, error) {
 	numCells := 1 + rng.Intn(60)
+	if sh&wideCells != 0 {
+		numCells = 1 + rng.Intn(300)
+	}
+	return pruneCase(rng, lay, sh, numCells, 1+rng.Intn(6))
+}
+
+// pruneCase is randomPruneCase over numCells cells and k partitions.
+func pruneCase(rng *rand.Rand, lay layout, sh caseShape, numCells, k int) (*Diagnoser, *bist.Verdicts, error) {
 	numChains := 1
 	if lay != singleChain {
 		numChains = 1 + rng.Intn(min(numCells, 5))
 	}
-	order := rng.Perm(numCells)
-	cfg, err := scan.SplitContiguous(order, numChains)
-	if err != nil {
-		return nil, nil, err
+	// Random cut points split the cells into chains of random lengths.
+	cuts := append(rng.Perm(numCells - 1)[:numChains-1], numCells-1)
+	slices.Sort(cuts)
+	lengths := make([]int, numChains)
+	prev := -1
+	for ci, cut := range cuts {
+		lengths[ci], prev = cut-prev, cut
 	}
-	k := 1 + rng.Intn(6)
-	b := 1 + rng.Intn(min(8, cfg.MaxChainLength()))
+	cfg := scan.Config{NumCells: numCells}
+	for _, cells := range sh.scanOrder(rng, lengths) {
+		cfg.Chains = append(cfg.Chains, scan.Chain{Cells: cells})
+	}
+	b := 1 + rng.Intn(min(16, cfg.MaxChainLength()))
 	parts := make([][]partition.Partition, numChains)
+	intervals := make([]bool, k)
+	for t := range intervals {
+		intervals[t] = rng.Intn(3) == 0
+	}
 	for ci, ch := range cfg.Chains {
 		parts[ci] = make([]partition.Partition, k)
 		for t := range parts[ci] {
 			p := partition.Partition{GroupOf: make([]int, ch.Len()), NumGroups: b}
 			for pos := range p.GroupOf {
-				p.GroupOf[pos] = rng.Intn(b)
+				if intervals[t] {
+					p.GroupOf[pos] = pos * b / ch.Len()
+				} else {
+					p.GroupOf[pos] = rng.Intn(b)
+				}
 			}
 			parts[ci][t] = p
 		}
@@ -125,6 +208,9 @@ func randomPruneCase(rng *rand.Rand, lay layout) (*Diagnoser, *bist.Verdicts, er
 	slots := b
 	if lay == perChainSlots {
 		slots = numChains * b
+	}
+	if sh&wideRows != 0 {
+		slots += 1 + rng.Intn(70)
 	}
 	v := &bist.Verdicts{Fail: make([][]bool, k), ErrSig: make([][]uint64, k)}
 	for t := range v.Fail {
@@ -186,11 +272,12 @@ func TestPruneMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, lay := range []layout{singleChain, sharedSlots, perChainSlots} {
 		for i := 0; i < 300; i++ {
-			d, v, err := randomPruneCase(rng, lay)
+			sh := caseShape(rng.Intn(numShapes))
+			d, v, err := randomPruneCase(rng, lay, sh)
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkPruneMatchesScan(t, d, v, fmt.Sprintf("%v case %d", lay, i))
+			checkPruneMatchesScan(t, d, v, fmt.Sprintf("%v shape %d case %d", lay, sh, i))
 		}
 	}
 	// A fixed two-chain layout with every session failing, under both
@@ -225,19 +312,27 @@ func TestPruneMatchesScan(t *testing.T) {
 	}
 }
 
-// FuzzPruneMatchesScan compares the indexed pruner with the reference
-// scan on random configurations, verdicts and error signatures drawn from
-// the fuzzed seed.
-func FuzzPruneMatchesScan(f *testing.F) {
-	for seed := int64(0); seed < 6; seed++ {
-		f.Add(seed, uint8(seed))
+// addShapeSeeds seeds a fuzz target taking (seed, layout, shape) with
+// every shape in every layout.
+func addShapeSeeds(f *testing.F) {
+	for sh := range numShapes {
+		for lay := range 3 {
+			f.Add(int64(sh*3+lay), uint8(lay), uint8(sh))
+		}
 	}
-	f.Fuzz(func(t *testing.T, seed int64, lay uint8) {
-		l := layout(lay % 3)
-		d, v, err := randomPruneCase(rand.New(rand.NewSource(seed)), l)
+}
+
+// FuzzPruneMatchesScan compares the counter fixpoint with the reference
+// scan on random configurations, verdicts and error signatures drawn from
+// the fuzzed seed, in the fuzzed layout and shape.
+func FuzzPruneMatchesScan(f *testing.F) {
+	addShapeSeeds(f)
+	f.Fuzz(func(t *testing.T, seed int64, lay, shape uint8) {
+		l, sh := layout(lay%3), caseShape(shape%numShapes)
+		d, v, err := randomPruneCase(rand.New(rand.NewSource(seed)), l, sh)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkPruneMatchesScan(t, d, v, fmt.Sprintf("%v seed %d", l, seed))
+		checkPruneMatchesScan(t, d, v, fmt.Sprintf("%v shape %d seed %d", l, sh, seed))
 	})
 }
