@@ -259,6 +259,10 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(cfg, short); err == nil {
 		t.Error("short partition accepted")
 	}
+	wide := [][]partition.Partition{{{GroupOf: []int{0, 0, 2, 1}, NumGroups: 2}}}
+	if _, err := New(cfg, wide); err == nil {
+		t.Error("group past NumGroups accepted")
+	}
 	cfg2, _ := scan.SplitContiguous(scan.NaturalOrder(4), 2)
 	uneven := [][]partition.Partition{
 		{{GroupOf: []int{0, 1}, NumGroups: 2}},
