@@ -615,9 +615,10 @@ func BenchmarkDiagnoserBuild(b *testing.B) {
 // BenchmarkNoisyDiagnosis times the per-fault step of noisy SOC diagnosis
 // under the noisy SOC benchmark workload's tester (SOC1, two-step, 32
 // groups, 8 partitions, 128 patterns; intermittent 0.5, 2% flips, 2%
-// aborts, 4 retries): NoisyVerdicts, Diagnose, DiagnoseRobust at vote
-// threshold 2 and CandidateCounts over precomputed faulty responses of a
-// 30-fault sample per core.
+// aborts, 4 retries): NoisyCellVerdictsInto one pooled Verdicts, as a
+// sweep worker runs it, then Diagnose, DiagnoseRobust at vote threshold 2
+// and CandidateCounts over precomputed faulty responses of a 30-fault
+// sample per core.
 func BenchmarkNoisyDiagnosis(b *testing.B) {
 	s, err := soc.Preset("soc1")
 	if err != nil {
@@ -644,6 +645,7 @@ func BenchmarkNoisyDiagnosis(b *testing.B) {
 		}
 	}
 	counts := make([]int, opts.Partitions)
+	v := art.Engine.NewVerdicts()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ReportAllocs()
@@ -652,7 +654,7 @@ func BenchmarkNoisyDiagnosis(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, c := range cases {
 			m := opts.Noise.Fork(uint64(int64(c.Fault.Net)+1), uint64(int64(c.Fault.Gate)+1), uint64(int64(c.Fault.Pin)+1), uint64(c.Fault.Stuck))
-			v, _ := art.Engine.NoisyCellVerdicts(c.FailingCells, good, c.Faulty, blocks, m, opts.Retry)
+			art.Engine.NoisyCellVerdictsInto(c.FailingCells, good, c.Faulty, blocks, m, opts.Retry, v)
 			sink += art.Diag.Diagnose(v).Pruned.Len()
 			sink += art.Diag.DiagnoseRobust(v, opts.VoteThreshold).Pruned.Len()
 			art.Diag.CandidateCounts(v, counts)

@@ -187,9 +187,9 @@ type Engine struct {
 	clocks  int                     // shift clocks per session (patterns × shiftsL)
 	xp      []uint64                // xp[e] = x^e mod MISRPoly
 	vgroups int                     // verdict slots per partition
-	// arenas pools the *contribs of sessionContribs; cellSets the
+	// tables pools the *sessionTable of sessionTable; cellSets the
 	// *bitset.Set of failingCells.
-	arenas   sync.Pool
+	tables   sync.Pool
 	cellSets sync.Pool
 }
 

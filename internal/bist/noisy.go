@@ -92,26 +92,37 @@ func (r *Reliability) String() string {
 		r.Sessions, r.Executions, r.Retried(), r.Aborted, r.Unknown, r.EstimatedFlipRate())
 }
 
-// errBit is one error bit of a fault's responses: the pattern it occurs
-// on (whose activation coin gates it), the cell that captures it, and its
-// syndrome, the bit's contribution to every error signature it enters.
-type errBit struct {
-	pat, cell int32
-	syn       uint64
-}
-
-// contribs lists every error bit of a fault once, and every session's
-// error bits as indices into that list, all sessions in one arena:
-// session s = t×VerdictGroups()+slot holds at[start[s]:start[s+1]], in the
-// order the walk over the responses meets its error bits.
-type contribs struct {
-	bits  []errBit
-	start []int32
+// sessionTable lists, per session, the patterns on which the session
+// captures an error, in ascending order, each with the XOR of the
+// syndromes of that pattern's error bits in the session. By MISR
+// linearity an execution's error signature is the XOR of the entries
+// whose pattern's activation coin fires, so the error bits of a pattern
+// are folded once, before any coin is drawn. With nb blocks, mask[s·nb+bi]
+// marks the patterns of block bi with an error in session
+// s = t×VerdictGroups()+slot, and at[k] counts the entries before mask
+// word k (at[len(mask)] all of them), so session s holds
+// pat[at[s·nb]:at[(s+1)·nb]] and the same range of syn.
+type sessionTable struct {
+	nb    int
+	mask  []uint64
 	at    []int32
+	pat   []int32
+	syn   []uint64
+	execs []exec // one session's executions, scratch of the vote
 }
 
-// session returns the indices into bits of session s's error bits.
-func (c *contribs) session(s int) []int32 { return c.at[c.start[s]:c.start[s+1]] }
+// exec is one completed session execution: its pass/fail observation and
+// the signature it reported.
+type exec struct {
+	fail bool
+	sig  uint64
+}
+
+// session returns session s's patterns and their syndromes.
+func (c *sessionTable) session(s int) ([]int32, []uint64) {
+	lo, hi := c.at[s*c.nb], c.at[(s+1)*c.nb]
+	return c.pat[lo:hi], c.syn[lo:hi]
+}
 
 // NoisyVerdicts derives tri-state session verdicts for a fault under an
 // unreliable tester. The deterministic error stream of Verdicts is the
@@ -122,35 +133,44 @@ func (c *contribs) session(s int) []int32 { return c.at[c.start[s]:c.start[s+1]]
 // Verdicts bit-for-bit (no Unknowns, identical Fail and ErrSig).
 //
 // Reliability reports the session budget spent and the noise absorbed.
-// It scans every cell of every block for the failing cells;
-// NoisyCellVerdicts takes them from a caller that already holds them.
+// It scans every cell of every block for the failing cells and allocates
+// the Verdicts: the allocating form of NoisyCellVerdictsInto, which takes
+// the failing cells from a caller that already holds them.
 func (e *Engine) NoisyVerdicts(good, faulty []*sim.Response, blocks []*sim.Block, m noise.Model, rp RetryPolicy) (*Verdicts, *Reliability) {
 	cells := e.failingCells(good, faulty, blocks)
 	defer e.cellSets.Put(cells)
-	return e.NoisyCellVerdicts(cells, good, faulty, blocks, m, rp)
+	v := e.NewVerdicts()
+	return v, e.NoisyCellVerdictsInto(cells, good, faulty, blocks, m, rp, v)
 }
 
-// NoisyCellVerdicts is NoisyVerdicts over a known failing-cell set: cells
-// must hold every cell whose faulty words differ from the good ones (the
+// NoisyCellVerdictsInto recomputes v in place as NoisyVerdicts would over
+// a known failing-cell set, and returns the run's Reliability. cells must
+// hold every cell whose faulty words differ from the good ones (the
 // simulator's Result.FailingCells), and only those cells' words are read.
 // A cell without an error bit adds nothing, so a superset gives the same
-// result.
-func (e *Engine) NoisyCellVerdicts(cells *bitset.Set, good, faulty []*sim.Response, blocks []*sim.Block, m noise.Model, rp RetryPolicy) (*Verdicts, *Reliability) {
-	c := e.sessionContribs(cells, good, faulty, blocks)
-	defer e.arenas.Put(c)
-	v := e.NewVerdicts()
-	v.Unknown = rows(make([]bool, e.plan.Partitions*e.vgroups), e.vgroups)
+// result. v must come from NewVerdicts on this engine; its Unknown rows
+// are attached on first use and reused after, so in the steady state the
+// returned Reliability is the only allocation.
+func (e *Engine) NoisyCellVerdictsInto(cells *bitset.Set, good, faulty []*sim.Response, blocks []*sim.Block, m noise.Model, rp RetryPolicy, v *Verdicts) *Reliability {
+	c := e.sessionTable(cells, good, faulty, blocks)
+	defer e.tables.Put(c)
+	if v.Unknown == nil {
+		v.Unknown = rows(make([]bool, len(v.Fail)*e.vgroups), e.vgroups)
+	}
+	for t := range v.Fail {
+		clear(v.Fail[t])
+		clear(v.ErrSig[t])
+		clear(v.Unknown[t])
+	}
 	rel := &Reliability{Sessions: e.plan.Partitions * e.vgroups}
 	runs := rp.Runs()
-	type exec struct {
-		fail bool
-		sig  uint64
-	}
-	execs := make([]exec, 0, runs)
+	execs := c.execs
+	streams := m.Streams()
 	for t := 0; t < e.plan.Partitions; t++ {
+		part := streams.Fold(t)
 		for slot := 0; slot < e.vgroups; slot++ {
-			coins := m.Session(t, slot)
-			contrib := c.session(t*e.vgroups + slot)
+			coins := part.Fold(slot)
+			pats, syns := c.session(t*e.vgroups + slot)
 			execs = execs[:0]
 			for a := 0; a < runs; a++ {
 				rel.Executions++
@@ -158,17 +178,7 @@ func (e *Engine) NoisyCellVerdicts(cells *bitset.Set, good, faulty []*sim.Respon
 					rel.Aborted++
 					continue
 				}
-				var sig uint64
-				active := false
-				if len(contrib) > 0 {
-					attempt := coins.Attempt(a)
-					for _, i := range contrib {
-						if b := &c.bits[i]; coins.ActiveAt(attempt, int(b.pat)) {
-							sig ^= b.syn
-							active = true
-						}
-					}
-				}
+				sig, active := coins.Active(a, pats, syns)
 				fail := sig != 0
 				if e.plan.Ideal {
 					fail = active
@@ -222,54 +232,75 @@ func (e *Engine) NoisyCellVerdicts(cells *bitset.Set, good, faulty []*sim.Respon
 			}
 		}
 	}
-	return v, rel
+	c.execs = execs
+	return rel
 }
 
-// sessionContribs gathers, per session, the error bits it captures, each
-// with the pattern it occurs on and its syndrome — the sparse substrate
-// NoisyVerdicts replays once per session execution under fresh activation
-// coins. One walk over the words of cells, block by block and in ascending
-// cell order within a block, lists the error bits and counts each bit's
-// session in every partition; a counting sort then fills the arena. The
-// result comes from e.arenas; the caller puts it back.
-func (e *Engine) sessionContribs(cells *bitset.Set, good, faulty []*sim.Response, blocks []*sim.Block) *contribs {
-	c, _ := e.arenas.Get().(*contribs)
+// sessionTable builds the table of the error bits of cells, in two walks
+// over their words. The first ORs each failing cell's error word of a
+// block into the pattern mask of the cell's session in every partition,
+// one word operation per cell and partition; prefix popcounts over the
+// masks then give every (session, block) its first entry. The second puts
+// each error bit of pattern p of a block at its (session, block) offset
+// plus the popcount of the mask below p, and XORs its syndrome there. The
+// result comes from e.tables; the caller puts it back.
+func (e *Engine) sessionTable(cells *bitset.Set, good, faulty []*sim.Response, blocks []*sim.Block) *sessionTable {
+	c, _ := e.tables.Get().(*sessionTable)
 	if c == nil {
-		c = new(contribs)
+		c = new(sessionTable)
 	}
-	c.bits = c.bits[:0]
-	c.start = append(c.start[:0], make([]int32, e.plan.Partitions*e.vgroups+1)...)
 	e.checkClocks(blocks)
+	nb := len(blocks)
+	words := e.plan.Partitions * e.vgroups * nb
+	c.nb = nb
+	c.mask = append(c.mask[:0], make([]uint64, words)...)
+	for bi, b := range blocks {
+		mask := b.Mask()
+		g, f := good[bi].Next, faulty[bi].Next
+		cells.ForEach(func(cell int) {
+			d := (g[cell] ^ f[cell]) & mask
+			if d == 0 {
+				return
+			}
+			chain, pos := e.chainOf[cell], e.posOf[cell]
+			for t := range e.parts[chain] {
+				c.mask[e.session(chain, pos, t)*nb+bi] |= d
+			}
+		})
+	}
+	c.at = slices.Grow(c.at[:0], words+1)[:words+1]
+	n := int32(0)
+	for k, w := range c.mask {
+		c.at[k] = n
+		n += int32(bits.OnesCount64(w))
+	}
+	c.at[words] = n
+	c.pat = slices.Grow(c.pat[:0], int(n))[:n]
+	c.syn = slices.Grow(c.syn[:0], int(n))[:n]
+	clear(c.syn)
 	patternBase := 0
 	for bi, b := range blocks {
 		mask := b.Mask()
 		g, f := good[bi].Next, faulty[bi].Next
 		cells.ForEach(func(cell int) {
+			d := (g[cell] ^ f[cell]) & mask
+			if d == 0 {
+				return
+			}
 			chain, pos := e.chainOf[cell], e.posOf[cell]
-			for d := (g[cell] ^ f[cell]) & mask; d != 0; d &= d - 1 {
-				p := patternBase + bits.TrailingZeros64(d)
-				c.bits = append(c.bits, errBit{pat: int32(p), cell: int32(cell), syn: e.bitSyndrome(p, chain, pos)})
+			for ; d != 0; d &= d - 1 {
+				j := bits.TrailingZeros64(d)
+				p := patternBase + j
+				syn := e.bitSyndrome(p, chain, pos)
 				for t := range e.parts[chain] {
-					c.start[e.session(chain, pos, t)]++
+					k := e.session(chain, pos, t)*nb + bi
+					i := c.at[k] + int32(bits.OnesCount64(c.mask[k]&(1<<j-1)))
+					c.pat[i] = int32(p)
+					c.syn[i] ^= syn
 				}
 			}
 		})
 		patternBase += b.N
-	}
-	for s := 1; s < len(c.start); s++ {
-		c.start[s] += c.start[s-1]
-	}
-	// start[s] is now the end of session s; filling back to front moves it
-	// down to the session's start and keeps each session in walk order.
-	n := c.start[len(c.start)-1]
-	c.at = slices.Grow(c.at[:0], int(n))[:n]
-	for i := len(c.bits) - 1; i >= 0; i-- {
-		chain, pos := e.chainOf[c.bits[i].cell], e.posOf[c.bits[i].cell]
-		for t := range e.parts[chain] {
-			s := e.session(chain, pos, t)
-			c.start[s]--
-			c.at[c.start[s]] = int32(i)
-		}
 	}
 	return c
 }

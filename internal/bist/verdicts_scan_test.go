@@ -128,8 +128,9 @@ func dirtyVerdicts(e *Engine, rng *rand.Rand) *Verdicts {
 // verdictsScan for each fault of fx: VerdictsInto and VerdictsUpTo, which
 // find the failing cells themselves, and CellVerdictsUpTo given the
 // failing cells and a strict superset of them, each into a dirty buffer.
-// A disabled noise model must give the same through NoisyCellVerdicts,
-// and a noisy one the same through the superset as through NoisyVerdicts.
+// A disabled noise model must give the same through
+// NoisyCellVerdictsInto, and a noisy one the same through the superset as
+// through NoisyVerdicts.
 func checkVerdictsMatchScan(t *testing.T, label string, fx *scanFixture, rng *rand.Rand) {
 	t.Helper()
 	e := fx.e
@@ -188,15 +189,17 @@ func checkVerdictsMatchScan(t *testing.T, label string, fx *scanFixture, rng *ra
 				t.Fatal(err)
 			}
 			check("CellVerdictsUpTo over "+cs.how, v)
-			got, _ := e.NoisyCellVerdicts(cs.cells, fx.good, faulty, fx.blocks, noise.Model{}, rp)
+			got := dirtyVerdicts(e, rng)
+			e.NoisyCellVerdictsInto(cs.cells, fx.good, faulty, fx.blocks, noise.Model{}, rp, got)
 			if got.HasUnknown() {
 				t.Fatalf("%s: a perfect tester produced Unknown verdicts over %s", name, cs.how)
 			}
 			got.Unknown = nil // a noisy run always attaches the rows
-			check("NoisyCellVerdicts over "+cs.how, got)
+			check("NoisyCellVerdictsInto over "+cs.how, got)
 		}
 		base, baseRel := e.NoisyVerdicts(fx.good, faulty, fx.blocks, noisy, rp)
-		got, rel := e.NoisyCellVerdicts(superset, fx.good, faulty, fx.blocks, noisy, rp)
+		got := e.NewVerdicts()
+		rel := e.NoisyCellVerdictsInto(superset, fx.good, faulty, fx.blocks, noisy, rp, got)
 		if !reflect.DeepEqual(got, base) || *rel != *baseRel {
 			t.Fatalf("%s: noisy verdicts over a superset differ from NoisyVerdicts", name)
 		}

@@ -270,7 +270,8 @@ func (c *Circuit) indexDFFs() {
 	}
 }
 
-// finish computes fan-out lists, levelization, and the topological order.
+// finish computes fan-out lists, levelization, the topological order and
+// the largest gate fan-in.
 func (c *Circuit) finish() error {
 	c.cones = make([]atomic.Pointer[Cone], len(c.Nets))
 	// Fan-out in one arena: count each net's readers, then lay the lists
@@ -324,6 +325,7 @@ func (c *Circuit) finish() error {
 		visited++
 		if c.Nets[id].Op.Combinational() {
 			c.topo = append(c.topo, id)
+			c.maxFanin = max(c.maxFanin, len(c.Nets[id].Fanin))
 			lvl := int32(0)
 			for _, f := range c.Nets[id].Fanin {
 				if c.levelOf[f] >= lvl {

@@ -36,7 +36,8 @@ type Circuit struct {
 	Outputs []NetID // primary outputs in declaration order
 	DFFs    []NetID // flip-flop output nets in declaration order
 
-	topo []NetID // combinational gates in evaluation order
+	topo     []NetID // combinational gates in evaluation order
+	maxFanin int     // largest fan-in of a combinational gate
 	// Fan-out of net id is fanoutArena[fanoutOff[id]:fanoutOff[id+1]].
 	fanoutOff   []int32
 	fanoutArena []NetID
@@ -81,7 +82,7 @@ func Raw(name string, nets []Net, inputs, outputs, dffs []NetID) *Circuit {
 		}
 	}
 	if err := c.finish(); err != nil {
-		c.topo, c.fanoutOff, c.fanoutArena, c.levelOf, c.cones = nil, nil, nil, nil, nil
+		c.topo, c.fanoutOff, c.fanoutArena, c.levelOf, c.cones, c.maxFanin = nil, nil, nil, nil, nil, 0
 	}
 	return c
 }
@@ -128,6 +129,10 @@ func (c *Circuit) NetByName(name string) (NetID, bool) {
 // every gate appears after all of its combinational fan-in. The returned
 // slice is shared; callers must not modify it.
 func (c *Circuit) TopoOrder() []NetID { return c.topo }
+
+// MaxFanin returns the largest fan-in of any combinational gate, and 0
+// for a circuit without gates.
+func (c *Circuit) MaxFanin() int { return c.maxFanin }
 
 // Level returns the combinational level of a net: 0 for primary inputs and
 // flip-flop outputs, 1+max(level of fan-in) for gates.

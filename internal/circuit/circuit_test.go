@@ -65,6 +65,19 @@ func TestTopoOrderRespectsDependencies(t *testing.T) {
 	}
 }
 
+// TestMaxFanin: MaxFanin is the largest fan-in over the gates of the
+// topological order.
+func TestMaxFanin(t *testing.T) {
+	c := buildS27Like(t)
+	want := 0
+	for _, id := range c.TopoOrder() {
+		want = max(want, len(c.Nets[id].Fanin))
+	}
+	if want == 0 || c.MaxFanin() != want {
+		t.Errorf("MaxFanin = %d, want %d", c.MaxFanin(), want)
+	}
+}
+
 func TestLevels(t *testing.T) {
 	c := buildS27Like(t)
 	for _, in := range c.Inputs {

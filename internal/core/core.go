@@ -422,7 +422,7 @@ func (w *diagWorker) diagnose(ctx context.Context, f sim.Fault, actual *bitset.S
 			// the noise a fault sees is independent of diagnosis order.
 			m := w.o.Noise.Fork(uint64(int64(f.Net)+1), uint64(int64(f.Gate)+1),
 				uint64(int64(f.Pin)+1), uint64(f.Stuck))
-			v, fd.Reliability = w.eng.NoisyCellVerdicts(actual, w.good, faulty, w.blocks, m, w.o.Retry)
+			fd.Reliability = w.eng.NoisyCellVerdictsInto(actual, w.good, faulty, w.blocks, m, w.o.Retry, v)
 			fd.Baseline = w.diag.Diagnose(v)
 		}
 	} else {

@@ -8,7 +8,10 @@
 // order.
 package noise
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Model configures the unreliable-tester fault-injection layer. The zero
 // value is a perfect tester: the fault is active on every pattern, no
@@ -123,32 +126,46 @@ func (m Model) Corrupt(t, slot, attempt int) uint64 {
 
 // Session is the coin source of one session (t, slot). Every coin hashes
 // (seed, tag, t, slot, attempt[, pat]), and hash is a left fold of mix, so
-// the (seed, tag, t, slot) prefix of each stream is folded once here; an
-// execution's abort, flip and corrupt coins then cost one mix each, and an
-// activation coin one mix over its attempt's prefix. Every coin equals the
-// matching Model method bit for bit.
+// each stream's prefix is folded once for all the sessions that share it:
+// Streams folds (seed, tag) once per model, Fold adds one coordinate, and
+// session (t, slot) is m.Streams().Fold(t).Fold(slot). An execution's
+// abort, flip and corrupt coins then cost one mix each, and an activation
+// coin one mix over its attempt's prefix. A coin fires when the top 53
+// bits of its hash fall below the integer threshold of its probability
+// (threshold), which is unit(h) < p without the float conversion. Every
+// coin equals the matching Model method bit for bit.
 type Session struct {
-	m                            Model
 	active, flip, abort, corrupt uint64 // stream prefixes
+	activeT, flipT, abortT       uint64 // coin thresholds
 }
 
-// Session folds the coin prefixes of session (t, slot).
-func (m Model) Session(t, slot int) Session {
+// Streams folds the (seed, tag) prefix of every coin stream, for Fold to
+// extend by session coordinates.
+func (m Model) Streams() Session {
 	seed := mix(hashInit, m.Seed)
-	prefix := func(tag uint64) uint64 {
-		return mix(mix(mix(seed, tag), uint64(t)), uint64(slot))
+	return Session{
+		active: mix(seed, tagActive), flip: mix(seed, tagFlip), abort: mix(seed, tagAbort), corrupt: mix(seed, tagCorrupt),
+		activeT: threshold(m.ActivationProb()), flipT: threshold(m.Flip), abortT: threshold(m.Abort),
 	}
-	return Session{m: m, active: prefix(tagActive), flip: prefix(tagFlip), abort: prefix(tagAbort), corrupt: prefix(tagCorrupt)}
+}
+
+// Fold returns s with one more coordinate folded into every stream.
+func (s Session) Fold(id int) Session {
+	s.active = mix(s.active, uint64(id))
+	s.flip = mix(s.flip, uint64(id))
+	s.abort = mix(s.abort, uint64(id))
+	s.corrupt = mix(s.corrupt, uint64(id))
+	return s
 }
 
 // Aborts is Model.Aborts(t, slot, attempt).
 func (s *Session) Aborts(attempt int) bool {
-	return s.m.Abort > 0 && unit(mix(s.abort, uint64(attempt))) < s.m.Abort
+	return s.abortT != 0 && mix(s.abort, uint64(attempt))>>11 < s.abortT
 }
 
 // Flips is Model.Flips(t, slot, attempt).
 func (s *Session) Flips(attempt int) bool {
-	return s.m.Flip > 0 && unit(mix(s.flip, uint64(attempt))) < s.m.Flip
+	return s.flipT != 0 && mix(s.flip, uint64(attempt))>>11 < s.flipT
 }
 
 // Corrupt is Model.Corrupt(t, slot, attempt).
@@ -159,14 +176,47 @@ func (s *Session) Corrupt(attempt int) uint64 {
 	return 1
 }
 
-// Attempt folds the activation prefix of one execution, for ActiveAt.
-func (s *Session) Attempt(attempt int) uint64 { return mix(s.active, uint64(attempt)) }
+// Active folds the values of the patterns on which the fault fires during
+// one execution: x is the XOR of vals[i] over every i with
+// Model.ActiveAt(t, slot, attempt, pats[i]), and hit reports whether there
+// was such an i. The loop has no branch on the coins: each compare becomes
+// an all-ones or all-zero mask by the sign bit of h − threshold, since
+// both are at most 2^53.
+func (s *Session) Active(attempt int, pats []int32, vals []uint64) (x uint64, hit bool) {
+	if len(pats) == 0 {
+		return 0, false
+	}
+	vals = vals[:len(pats)]
+	if s.activeT >= 1<<53 { // every coin fires
+		for _, v := range vals {
+			x ^= v
+		}
+		return x, len(pats) > 0
+	}
+	a, thr := mix(s.active, uint64(attempt)), s.activeT
+	var on uint64
+	for i, p := range pats {
+		o := -((mix(a, uint64(p))>>11 - thr) >> 63)
+		x ^= vals[i] & o
+		on |= o
+	}
+	return x, on != 0
+}
 
-// ActiveAt is Model.ActiveAt(t, slot, attempt, pat) for the attempt
-// whose prefix Attempt returned.
-func (s *Session) ActiveAt(attempt uint64, pat int) bool {
-	p := s.m.ActivationProb()
-	return p >= 1 || unit(mix(attempt, uint64(pat))) < p
+// threshold is the integer form of a coin's probability p: for every hash
+// h, h>>11 < threshold(p) exactly when unit(h) < p. It is ceil(p·2^53),
+// and both sides are exact: h>>11 < 2^53 is an integer that float64 holds,
+// scaling by 2^53 is exact, and an integer lies below a real exactly when
+// it lies below the real's ceiling. p ≤ 0 and NaN never fire (0); p ≥ 1
+// always does (2^53).
+func threshold(p float64) uint64 {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
 }
 
 // coin maps a hash of the ids to [0, 1).

@@ -147,11 +147,11 @@ func TestDeterministicEdges(t *testing.T) {
 	}
 }
 
-// checkSessionCoins compares every coin of m.Session(t, slot) with the
+// checkSessionCoins compares every coin of session (t, slot) with the
 // Model method it stands for, at the given attempt and pattern.
 func checkSessionCoins(t *testing.T, m Model, ts, slot, attempt, pat int) {
 	t.Helper()
-	s := m.Session(ts, slot)
+	s := m.Streams().Fold(ts).Fold(slot)
 	if got, want := s.Aborts(attempt), m.Aborts(ts, slot, attempt); got != want {
 		t.Fatalf("%+v (%d, %d, %d): Session.Aborts %v, Model.Aborts %v", m, ts, slot, attempt, got, want)
 	}
@@ -161,8 +161,49 @@ func checkSessionCoins(t *testing.T, m Model, ts, slot, attempt, pat int) {
 	if got, want := s.Corrupt(attempt), m.Corrupt(ts, slot, attempt); got != want {
 		t.Fatalf("%+v (%d, %d, %d): Session.Corrupt %#x, Model.Corrupt %#x", m, ts, slot, attempt, got, want)
 	}
-	if got, want := s.ActiveAt(s.Attempt(attempt), pat), m.ActiveAt(ts, slot, attempt, pat); got != want {
-		t.Fatalf("%+v (%d, %d, %d, %d): Session.ActiveAt %v, Model.ActiveAt %v", m, ts, slot, attempt, pat, got, want)
+	// Three patterns with one value bit each: bit i of Active's XOR is the
+	// coin of pats[i].
+	pats := []int32{int32(pat), int32(pat) + 1, int32(pat) + 7}
+	var want uint64
+	for i, p := range pats {
+		if m.ActiveAt(ts, slot, attempt, int(p)) {
+			want |= 1 << i
+		}
+	}
+	if got, hit := s.Active(attempt, pats, []uint64{1, 2, 4}); got != want || hit != (want != 0) {
+		t.Fatalf("%+v (%d, %d, %d, %v): Session.Active %#b, %v; Model.ActiveAt %#b", m, ts, slot, attempt, pats, got, hit, want)
+	}
+	if got, hit := s.Active(attempt, nil, nil); got != 0 || hit {
+		t.Fatalf("%+v: Session.Active over no patterns = %#x, %v", m, got, hit)
+	}
+}
+
+// thresholdProbs are the probabilities at the edges of the integer coin
+// threshold: zero, a subnormal, one far below 2^-53, two ordinary rates,
+// the largest float below 1, and 1.
+var thresholdProbs = []float64{0, math.SmallestNonzeroFloat64, 0x1p-60, 0.02, 0.5, math.Nextafter(1, 0), 1}
+
+// TestThresholdMatchesUnit: h>>11 < threshold(p) agrees with unit(h) < p
+// at the three top-53-bit values around the threshold, under random low
+// bits, for every edge probability.
+func TestThresholdMatchesUnit(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, p := range thresholdProbs {
+		T := threshold(p)
+		for _, x := range []uint64{T - 1, T, T + 1} {
+			if x >= 1<<53 { // T−1 wrapped, or beyond the top 53 bits
+				continue
+			}
+			for range 8 {
+				h := x<<11 | rng.Uint64()&(1<<11-1)
+				if got, want := h>>11 < T, unit(h) < p; got != want {
+					t.Fatalf("p=%g threshold %d: h>>11=%d gives %v, unit(h)=%g < p gives %v", p, T, x, got, unit(h), want)
+				}
+			}
+		}
+	}
+	if threshold(math.NaN()) != 0 || threshold(-1) != 0 || threshold(2) != 1<<53 {
+		t.Error("threshold outside [0, 1]: NaN and negatives must never fire, above 1 always")
 	}
 }
 
@@ -199,6 +240,9 @@ func FuzzSessionCoins(f *testing.F) {
 	f.Add(1.0, 1.0, 1.0, uint64(1), 1, 2, 3, 4)
 	f.Add(0.5, 0.02, 0.02, uint64(0x5eed), 7, 31, 4, 127)
 	f.Add(0.3, 0.0, 0.1, uint64(42), -1, 1<<20, 8, -5)
+	for i, p := range thresholdProbs {
+		f.Add(p, p, p, uint64(i), i, 2*i, i%5, 64*i)
+	}
 	f.Fuzz(func(t *testing.T, q, flip, abort float64, seed uint64, ts, slot, attempt, pat int) {
 		checkSessionCoins(t, Model{Intermittent: q, Flip: flip, Abort: abort, Seed: seed}, ts, slot, attempt, pat)
 	})

@@ -112,6 +112,28 @@ func TestEventRunIntoSequence(t *testing.T) {
 	}
 }
 
+// TestEventForkAllocatesNoNetValues: the event engine never reads the
+// full-pass net values, so a fork that only runs events leaves them
+// unallocated; the first full pass allocates them.
+func TestEventForkAllocatesNoNetValues(t *testing.T) {
+	c := equivalenceCircuit(t, "s953")
+	fs := NewFaultSim(c, equivalenceBlocks(c, []int{64, 40}, 12)).Fork()
+	sc := fs.NewScratch()
+	for _, f := range FullFaultList(c)[:50] {
+		fs.RunInto(f, sc)
+	}
+	for _, f := range TransitionFaultList(c)[:50] {
+		fs.RunTransition(f)
+	}
+	if fs.sim.vals != nil {
+		t.Fatal("event-driven runs on a fork allocated the full-pass net values")
+	}
+	fs.RunReference(FullFaultList(c)[0])
+	if len(fs.sim.vals) != c.NumNets() {
+		t.Fatalf("a full pass left %d net values, want %d", len(fs.sim.vals), c.NumNets())
+	}
+}
+
 // TestEventTransitionEquivalence pins the event-driven launch-off-capture
 // path to the two-full-pass reference for every transition fault.
 func TestEventTransitionEquivalence(t *testing.T) {

@@ -45,23 +45,23 @@ func newResponse(c *circuit.Circuit) *Response {
 // concurrent use; create one per goroutine (construction is cheap).
 type Simulator struct {
 	c       *circuit.Circuit
-	vals    []uint64
+	vals    []uint64 // every net's value, allocated by the first full pass (netVals)
 	scratch []uint64
 }
 
-// New returns a Simulator for c.
+// New returns a Simulator for c. It allocates only the fan-in scratch:
+// the event engine of a FaultSim fork never reads vals.
 func New(c *circuit.Circuit) *Simulator {
-	maxFanin := 1
-	for _, id := range c.TopoOrder() {
-		if n := len(c.Nets[id].Fanin); n > maxFanin {
-			maxFanin = n
-		}
+	return &Simulator{c: c, scratch: make([]uint64, max(c.MaxFanin(), 1))}
+}
+
+// netVals returns the per-net value array of the full-pass evaluators,
+// allocating it on first use.
+func (s *Simulator) netVals() []uint64 {
+	if s.vals == nil {
+		s.vals = make([]uint64, s.c.NumNets())
 	}
-	return &Simulator{
-		c:       c,
-		vals:    make([]uint64, c.NumNets()),
-		scratch: make([]uint64, maxFanin),
-	}
+	return s.vals
 }
 
 // Circuit returns the simulated netlist.
@@ -91,18 +91,19 @@ func (s *Simulator) run(b *Block, f Fault, r *Response) {
 	if f.Stuck == 1 {
 		stuckVal = ^uint64(0)
 	}
+	vals := s.netVals()
 
 	// Load structural nets.
 	for i, id := range c.Inputs {
-		s.vals[id] = b.PI[i]
+		vals[id] = b.PI[i]
 	}
 	for i, id := range c.DFFs {
-		s.vals[id] = b.State[i]
+		vals[id] = b.State[i]
 	}
 	// A stem fault on a PI or flip-flop output applies before any gate
 	// reads it.
 	if f.Stem() && f.Net >= 0 && !c.Nets[f.Net].Op.Combinational() {
-		s.vals[f.Net] = stuckVal
+		vals[f.Net] = stuckVal
 	}
 
 	// Evaluate gates in level order. The faulted gate (if any) takes the
@@ -114,20 +115,20 @@ func (s *Simulator) run(b *Block, f Fault, r *Response) {
 		if !f.Stem() && f.Gate == id {
 			in := s.scratch[:len(n.Fanin)]
 			for k, src := range n.Fanin {
-				in[k] = s.vals[src]
+				in[k] = vals[src]
 			}
 			in[f.Pin] = stuckVal
 			v = logic.Eval(n.Op, in)
 		} else {
 			switch len(n.Fanin) {
 			case 1:
-				v = logic.Eval1(n.Op, s.vals[n.Fanin[0]])
+				v = logic.Eval1(n.Op, vals[n.Fanin[0]])
 			case 2:
-				v = logic.Eval2(n.Op, s.vals[n.Fanin[0]], s.vals[n.Fanin[1]])
+				v = logic.Eval2(n.Op, vals[n.Fanin[0]], vals[n.Fanin[1]])
 			default:
 				in := s.scratch[:len(n.Fanin)]
 				for k, src := range n.Fanin {
-					in[k] = s.vals[src]
+					in[k] = vals[src]
 				}
 				v = logic.Eval(n.Op, in)
 			}
@@ -135,21 +136,21 @@ func (s *Simulator) run(b *Block, f Fault, r *Response) {
 		if f.Stem() && f.Net == id {
 			v = stuckVal
 		}
-		s.vals[id] = v
+		vals[id] = v
 	}
 
 	// Capture: each flip-flop latches its D input; a branch fault on the
 	// D connection forces the captured value.
 	for i, id := range c.DFFs {
 		d := c.Nets[id].Fanin[0]
-		v := s.vals[d]
+		v := vals[d]
 		if !f.Stem() && f.Gate == id {
 			v = stuckVal
 		}
 		r.Next[i] = v
 	}
 	for i, id := range c.Outputs {
-		r.PO[i] = s.vals[id]
+		r.PO[i] = vals[id]
 	}
 }
 
@@ -187,23 +188,24 @@ func (s *Simulator) FaultyMulti(b *Block, faults []Fault, r *Response) {
 			branch[pinKey{f.Gate, f.Pin}] = stuck(f.Stuck)
 		}
 	}
+	vals := s.netVals()
 
 	for i, id := range c.Inputs {
-		s.vals[id] = b.PI[i]
+		vals[id] = b.PI[i]
 	}
 	for i, id := range c.DFFs {
-		s.vals[id] = b.State[i]
+		vals[id] = b.State[i]
 	}
 	for net, v := range stem {
 		if !c.Nets[net].Op.Combinational() {
-			s.vals[net] = v
+			vals[net] = v
 		}
 	}
 	for _, id := range c.TopoOrder() {
 		n := &c.Nets[id]
 		in := s.scratch[:len(n.Fanin)]
 		for k, src := range n.Fanin {
-			in[k] = s.vals[src]
+			in[k] = vals[src]
 			if v, ok := branch[pinKey{id, k}]; ok {
 				in[k] = v
 			}
@@ -212,17 +214,17 @@ func (s *Simulator) FaultyMulti(b *Block, faults []Fault, r *Response) {
 		if sv, ok := stem[id]; ok {
 			v = sv
 		}
-		s.vals[id] = v
+		vals[id] = v
 	}
 	for i, id := range c.DFFs {
-		v := s.vals[c.Nets[id].Fanin[0]]
+		v := vals[c.Nets[id].Fanin[0]]
 		if bv, ok := branch[pinKey{id, 0}]; ok {
 			v = bv
 		}
 		r.Next[i] = v
 	}
 	for i, id := range c.Outputs {
-		r.PO[i] = s.vals[id]
+		r.PO[i] = vals[id]
 	}
 }
 

@@ -65,7 +65,8 @@ func (s *Simulator) runTwoCycle(b *Block, f *TransitionFault, r *Response) {
 		s.Good(b2, r)
 		return
 	}
-	// Faulty pass with the value-dependent force at the fault net.
+	// Faulty pass with the value-dependent force at the fault net; the
+	// cycle-1 pass has allocated s.vals.
 	for i, id := range c.Inputs {
 		s.vals[id] = b2.PI[i]
 	}
