@@ -67,7 +67,7 @@ type (
 	// Verdict is a tri-state BIST session outcome.
 	Verdict = bist.Verdict
 	// ArtifactCache content-addresses diagnosis build artifacts (pattern
-	// blocks, fault-free responses, partitions, golden signatures,
+	// blocks, fault-free responses, partitions, syndrome tables,
 	// compiled batch plans) so benches and sweep points sharing a
 	// configuration reuse one build. Set Options.Cache to share it across
 	// NewCircuitBench/NewSOCBench calls; a nil cache is valid and builds

@@ -25,6 +25,7 @@ import (
 	"repro/internal/lfsr"
 	"repro/internal/noise"
 	"repro/internal/partition"
+	"repro/internal/pipeline"
 	"repro/internal/reseed"
 	"repro/internal/scan"
 	"repro/internal/sim"
@@ -669,6 +670,53 @@ func BenchmarkNoisyDiagnosis(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/faults, "ns/fault")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/faults, "allocs/fault")
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/faults, "B/fault")
+}
+
+// BenchmarkWarmSOCSweep times the noisy SOC operation of the end-to-end
+// benchmark: over a warm artifact cache, look the SOC1 bench up and sweep
+// 30 faults in each of its six cores with two workers behind the noisy
+// tester. The sweeps' per-worker state is pooled on the artifact set, so
+// a warm operation allocates little beyond what its diagnoses return.
+func BenchmarkWarmSOCSweep(b *testing.B) {
+	s, err := soc.Preset("soc1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := core.Options{
+		Scheme: partition.TwoStep{}, Groups: 32, Partitions: 8, Patterns: 128, Workers: 2,
+		Noise:         noise.Model{Intermittent: 0.5, Flip: 0.02, Abort: 0.02, Seed: 7},
+		Retry:         bist.RetryPolicy{MaxRetries: 4},
+		VoteThreshold: 2,
+		Cache:         pipeline.NewCache(),
+	}
+	sb, err := core.NewSOCBench(s, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	samples := make([][]sim.Fault, s.NumCores())
+	faults := 0
+	for ci := range samples {
+		samples[ci] = sim.SampleFaults(sb.CoreFaults(ci), 30, int64(ci)+1)
+		faults += len(samples[ci])
+	}
+	op := func() {
+		sb, err := core.NewSOCBench(s, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for ci, sample := range samples {
+			if _, err := sb.RunCoreContext(context.Background(), ci, sample); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	op() // warm the pool
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*faults), "ns/fault")
 }
 
 // BenchmarkPlanBatchesCold times the cold plan build of the end-to-end

@@ -258,11 +258,7 @@ func NewEngine(cfg scan.Config, plan Plan, nPatterns int) (*Engine, error) {
 	// T = nPatterns × shiftsL. One table of x^e covers all (τ, c).
 	e.clocks = nPatterns * e.shiftsL
 	e.xp = make([]uint64, e.clocks+len(cfg.Chains))
-	x := lfsr.MustNew(plan.MISRPoly, 1)
-	for i := range e.xp {
-		e.xp[i] = x.State()
-		x.Step()
-	}
+	lfsr.MustNew(plan.MISRPoly, 1).StatesInto(e.xp)
 	e.vgroups = plan.Groups
 	if e.PerChainVerdicts() {
 		e.vgroups = plan.Groups * len(cfg.Chains)

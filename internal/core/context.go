@@ -3,13 +3,13 @@ package core
 import (
 	"context"
 	"slices"
+	"sync"
 
-	"repro/internal/bist"
 	"repro/internal/bitset"
 	"repro/internal/circuit"
-	"repro/internal/diagnosis"
 	"repro/internal/pipeline"
 	"repro/internal/sim"
+	"repro/internal/soc"
 )
 
 // This file is the context-aware face of the benches: cancellable fault
@@ -38,15 +38,17 @@ func (b *CircuitBench) RunObservedContext(ctx context.Context, faults []sim.Faul
 // sweep is the bench's fault sweep; every worker simulates on its own
 // fork of the bench's FaultSim.
 func (b *CircuitBench) sweep() sweep {
-	return sweep{o: b.Opts, c: b.Circuit, eng: b.art.Engine, diag: b.art.Diag, good: b.art.Good, blocks: b.art.Blocks,
-		fork: func() faultRun {
-			fs := b.fs.Fork()
-			sc := fs.NewScratch()
-			return func(f sim.Fault) (*bitset.Set, bool, []*sim.Response) {
+	return sweep{o: b.Opts, c: b.Circuit, fork: func() sweepWorker {
+		fs := b.fs.Fork()
+		sc := fs.NewScratch()
+		return sweepWorker{
+			run: func(f sim.Fault) (*bitset.Set, bool, []*sim.Response) {
 				res := fs.RunInto(f, sc)
 				return res.FailingCells, res.Detected(), res.Faulty
-			}
-		}}
+			},
+			diag: b.worker(),
+		}
+	}}
 }
 
 // RunCoreContext is RunCore with cancellation; semantics mirror
@@ -65,18 +67,41 @@ func (b *SOCBench) RunCoreObservedContext(ctx context.Context, core int, faults 
 	return b.sweep(core).run(ctx, faults, observe)
 }
 
+// socWorker is the reusable state of one SOC sweep worker: a fork of the
+// SOC simulator, whose per-core simulators share one event scratch, its
+// splicing scratch, and the diagnosis buffers. It serves sweeps over any
+// core and is pooled on the artifact set (pipeline.SOCArtifacts.Workers),
+// so the per-core sweeps of an SOC diagnosis, and later diagnoses over
+// the same artifacts, reuse it instead of building their own.
+type socWorker struct {
+	fs   *soc.FaultSim
+	sc   *soc.Scratch
+	diag *diagWorker
+}
+
 // sweep is the bench's sweep over faults of one core; every worker
-// simulates on its own fork of the bench's SOC FaultSim.
+// simulates on a pooled socWorker, which it puts back when the sweep
+// ends.
 func (b *SOCBench) sweep(core int) sweep {
-	return sweep{o: b.Opts, c: b.SOC.Cores[core].Circuit, eng: b.art.Engine, diag: b.art.Diag, good: b.fs.Good(), blocks: b.fs.Blocks(),
-		fork: func() faultRun {
-			fs := b.fs.Fork()
-			sc := fs.NewScratch()
-			return func(f sim.Fault) (*bitset.Set, bool, []*sim.Response) {
-				res := fs.RunInto(core, f, sc)
+	return sweep{o: b.Opts, c: b.SOC.Cores[core].Circuit, fork: func() sweepWorker {
+		pool := b.art.Workers()
+		st, _ := pool.Get().(*socWorker)
+		if st == nil {
+			fs := b.art.Sim.Fork()
+			st = &socWorker{fs: fs, sc: fs.NewScratch(), diag: b.worker()}
+		}
+		// Only the runtime knobs differ between benches over one artifact
+		// set; everything else the diagnosis worker holds comes from it.
+		st.diag.o = b.Opts
+		return sweepWorker{
+			run: func(f sim.Fault) (*bitset.Set, bool, []*sim.Response) {
+				res := st.fs.RunInto(core, f, st.sc)
 				return res.FailingCells, res.Detected(), res.Faulty
-			}
-		}}
+			},
+			diag: st.diag,
+			put:  func() { pool.Put(st) },
+		}
+	}}
 }
 
 // sweepJob is the number of consecutive faults in one RunLanes job of a
@@ -91,14 +116,23 @@ const sweepJob = 64
 // every fault — one event-driven simulation and one diagnosis — is a
 // lane that any worker may run (pipeline.RunLanes).
 type sweep struct {
-	o      Options
-	c      *circuit.Circuit // the netlist the faults live in
-	eng    *bist.Engine
-	diag   *diagnosis.Diagnoser
-	good   []*sim.Response
-	blocks []*sim.Block
-	// fork builds one worker's simulator view.
-	fork func() faultRun
+	o Options
+	c *circuit.Circuit // the netlist the faults live in
+	// fork sets up one worker.
+	fork func() sweepWorker
+}
+
+// sweepWorker is one sweep worker's state: its simulator view and its
+// diagnosis buffers.
+type sweepWorker struct {
+	run  faultRun
+	diag *diagWorker
+	// put hands the state back for a later sweep once this one ends; nil
+	// when the state is not pooled.
+	put func()
+	// broken marks a worker whose lane panicked: its scratch may hold a
+	// fault half run, so it is not put back.
+	broken bool
 }
 
 // faultRun simulates one fault on a worker's own fork of the event
@@ -111,10 +145,16 @@ func (sw sweep) run(ctx context.Context, faults []sim.Fault, observe func(*Fault
 	results := make([]*FaultDiagnosis, len(faults))
 	ex := pipeline.Executor{Workers: sw.o.Workers, Retry: sw.o.Retry.Policy()}
 	jobs := (len(faults) + sweepJob - 1) / sweepJob
+	var (
+		mu      sync.Mutex
+		workers []*sweepWorker
+	)
 	// A job's handle is the list index of its first fault.
 	err := pipeline.RunLanes(ctx, ex, jobs, func() pipeline.LaneJob[int] {
-		run := sw.fork()
-		w := newDiagWorker(sw.o, sw.eng, sw.diag, sw.good, sw.blocks)
+		w := sw.fork()
+		mu.Lock()
+		workers = append(workers, &w)
+		mu.Unlock()
 		return pipeline.LaneJob[int]{
 			Head: func(j int) (int, int, error) {
 				lo := j * sweepJob
@@ -122,15 +162,21 @@ func (sw sweep) run(ctx context.Context, faults []sim.Fault, observe func(*Fault
 			},
 			Lane: func(lo, _, k int) error {
 				i := lo + k
-				defer annotatePanic(k, faults[i], sw.c)
-				actual, detected, faulty := run(faults[i])
+				defer w.annotatePanic(k, faults[i], sw.c)
+				actual, detected, faulty := w.run(faults[i])
 				// The sweep's ctx is polled per job and lane claim; a lane
 				// always observes every partition.
-				results[i], _ = w.diagnose(context.Background(), faults[i], actual, detected, faulty)
+				results[i], _ = w.diag.diagnose(context.Background(), faults[i], actual, detected, faulty)
 				return nil
 			},
 		}
 	})
+	// RunLanes has joined every worker, so no state is in use.
+	for _, w := range workers {
+		if w.put != nil && !w.broken {
+			w.put()
+		}
+	}
 	// Keep the longest contiguous prefix of completed diagnoses. Results
 	// past the first gap (jobs cancelled or abandoned mid-flight) are
 	// dropped: a prefix has a clean meaning — "the sweep ran out of time
@@ -141,12 +187,13 @@ func (sw sweep) run(ctx context.Context, faults []sim.Fault, observe func(*Fault
 	return MergeObserved(sw.o, sw.o.Scheme.Name(), results, observe), err
 }
 
-// annotatePanic re-raises a panic unwinding out of a sweep lane wrapped
-// in a pipeline.JobPanic carrying the lane and the fault's description,
-// so the executor's WorkerError can report which fault's diagnosis blew
-// up.
-func annotatePanic(lane int, f sim.Fault, c *circuit.Circuit) {
+// annotatePanic re-raises a panic unwinding out of one of w's lanes
+// wrapped in a pipeline.JobPanic carrying the lane and the fault's
+// description, so the executor's WorkerError can report which fault's
+// diagnosis blew up, and marks w broken.
+func (w *sweepWorker) annotatePanic(lane int, f sim.Fault, c *circuit.Circuit) {
 	if r := recover(); r != nil {
+		w.broken = true
 		panic(&pipeline.JobPanic{Lane: lane, Detail: f.Describe(c), Value: r})
 	}
 }

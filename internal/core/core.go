@@ -7,7 +7,7 @@
 //
 // The heavy lifting lives in internal/pipeline: a bench borrows an
 // immutable artifact set (patterns, fault-free responses, partitions,
-// golden signatures) — deduplicated by Options.Cache when several benches
+// syndrome tables) — deduplicated by Options.Cache when several benches
 // share a content key — and drives the fault loop over a worker pool
 // with per-worker reusable scratch buffers, so the steady-state
 // simulation allocates nothing per fault.
@@ -76,7 +76,7 @@ type Options struct {
 	// verdicts never prune). 0 or 1 is the paper's hard intersection.
 	VoteThreshold int
 	// Cache deduplicates build artifacts (pattern blocks, fault-free
-	// responses, partitions, golden signatures) across benches that share
+	// responses, partitions, syndrome tables) across benches that share
 	// a content key. Nil builds fresh artifacts per bench. Runtime knobs —
 	// Workers, Noise, Retry, VoteThreshold, and the cache itself — are not
 	// part of the key, so sweeps over them reuse one artifact set.
@@ -339,9 +339,11 @@ func (b *CircuitBench) Engine() *bist.Engine { return b.art.Engine }
 // other benches when Opts.Cache deduplicated the build).
 func (b *CircuitBench) Artifacts() *pipeline.CircuitArtifacts { return b.art }
 
-// GoldenSignatures returns the precomputed fault-free signature per
-// (partition, verdict slot) — the tester-side storage.
-func (b *CircuitBench) GoldenSignatures() [][]uint64 { return b.art.Golden }
+// GoldenSignatures computes the fault-free signature per (partition,
+// verdict slot) — the tester-side storage.
+func (b *CircuitBench) GoldenSignatures() [][]uint64 {
+	return b.art.Engine.GoldenSignatures(b.art.Good, b.art.Blocks)
+}
 
 // Cost returns the plan's test-resource footprint.
 func (b *CircuitBench) Cost() bist.Cost { return b.art.Engine.Cost() }
@@ -505,9 +507,11 @@ func (b *SOCBench) Engine() *bist.Engine { return b.art.Engine }
 // Artifacts exposes the bench's immutable build artifacts.
 func (b *SOCBench) Artifacts() *pipeline.SOCArtifacts { return b.art }
 
-// GoldenSignatures returns the precomputed fault-free signature per
-// (partition, verdict slot).
-func (b *SOCBench) GoldenSignatures() [][]uint64 { return b.art.Golden }
+// GoldenSignatures computes the fault-free signature per (partition,
+// verdict slot).
+func (b *SOCBench) GoldenSignatures() [][]uint64 {
+	return b.art.Engine.GoldenSignatures(b.fs.Good(), b.fs.Blocks())
+}
 
 // Cost returns the plan's test-resource footprint over the TAM.
 func (b *SOCBench) Cost() bist.Cost { return b.art.Engine.Cost() }

@@ -44,11 +44,12 @@ type helperGate struct {
 
 func newHelperGate() *helperGate { return &helperGate{started: make(chan struct{})} }
 
-func (g *helperGate) wrap(fork func() faultRun) func() faultRun {
-	return func() faultRun {
-		run := fork()
+func (g *helperGate) wrap(fork func() sweepWorker) func() sweepWorker {
+	return func() sweepWorker {
+		w := fork()
+		run := w.run
 		if g.built.Add(1) == 1 {
-			return func(f sim.Fault) (*bitset.Set, bool, []*sim.Response) {
+			w.run = func(f sim.Fault) (*bitset.Set, bool, []*sim.Response) {
 				select {
 				case <-g.started:
 				case <-time.After(10 * time.Second):
@@ -56,8 +57,9 @@ func (g *helperGate) wrap(fork func() faultRun) func() faultRun {
 				}
 				return run(f)
 			}
+			return w
 		}
-		return func(f sim.Fault) (*bitset.Set, bool, []*sim.Response) {
+		w.run = func(f sim.Fault) (*bitset.Set, bool, []*sim.Response) {
 			g.once.Do(func() { close(g.started) })
 			g.helped.Add(1)
 			if g.onHelper != nil {
@@ -65,6 +67,7 @@ func (g *helperGate) wrap(fork func() faultRun) func() faultRun {
 			}
 			return run(f)
 		}
+		return w
 	}
 }
 

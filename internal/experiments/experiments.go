@@ -42,7 +42,7 @@ type Config struct {
 	// sweeps run the event-driven engine and pack no batches.
 	Lanes int
 	// Cache shares build artifacts (pattern blocks, fault-free responses,
-	// golden signatures) across the benches an experiment builds — and
+	// partitions) across the benches an experiment builds — and
 	// across experiments when the caller threads one cache through all of
 	// them, as cmd/experiments does. Sweeps that vary only the scheme,
 	// plan, or noise level reuse the expensive fault-free simulation. Nil

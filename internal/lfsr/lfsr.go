@@ -64,14 +64,26 @@ func (l *LFSR) Seed(seed uint64) error {
 }
 
 // Step advances the register one shift clock and returns the output bit
-// (the coefficient that falls off the top of the register).
+// (the coefficient that falls off the top of the register). The feedback
+// is masked in rather than branched on, since the output bit is random.
 func (l *LFSR) Step() uint64 {
 	l.state <<= 1
 	out := l.state >> uint(l.degree) & 1
-	if out == 1 {
-		l.state ^= uint64(l.poly)
-	}
+	l.state ^= uint64(l.poly) & -out
 	return out
+}
+
+// StatesInto writes the register's state into each word of states and
+// steps it after each, in order: states[i] is the state after i Steps.
+// Like StepInto it steps a local copy of the register.
+func (l *LFSR) StatesInto(states []uint64) {
+	state, poly, top := l.state, uint64(l.poly), uint(l.degree)
+	for i := range states {
+		states[i] = state
+		state <<= 1
+		state ^= poly & -(state >> top & 1)
+	}
+	l.state = state
 }
 
 // StepInto advances the register once per word of words and ORs each

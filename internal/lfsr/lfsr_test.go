@@ -211,3 +211,41 @@ func TestMISRParallelInputWidth(t *testing.T) {
 		t.Errorf("out-of-range input bits leaked into signature: %#x", m.Signature())
 	}
 }
+
+// TestStepFeedbackMatchesPolynomialMultiply: Step is multiplication by x
+// modulo the feedback polynomial, checked against a carry-less product
+// reduced bit by bit, and its output bit is the coefficient reduced away.
+func TestStepFeedbackMatchesPolynomialMultiply(t *testing.T) {
+	for _, deg := range []int{3, 8, 16, 31} {
+		p := MustPrimitivePoly(deg)
+		l := MustNew(p, 1)
+		for i := 0; i < 500; i++ {
+			s := l.State()
+			want, wantOut := s<<1, s>>uint(deg-1)&1
+			if wantOut == 1 {
+				want ^= uint64(p)
+			}
+			if out := l.Step(); out != wantOut || l.State() != want {
+				t.Fatalf("degree %d step %d from %#x: got state %#x out %d, want %#x out %d", deg, i, s, l.State(), out, want, wantOut)
+			}
+		}
+	}
+}
+
+// TestStatesIntoMatchesStep: StatesInto writes the state before each of
+// its steps and leaves the register where as many Steps would.
+func TestStatesIntoMatchesStep(t *testing.T) {
+	p := MustPrimitivePoly(16)
+	a, b := MustNew(p, 0xACE1), MustNew(p, 0xACE1)
+	got := make([]uint64, 300)
+	a.StatesInto(got)
+	for i, s := range got {
+		if s != b.State() {
+			t.Fatalf("state %d: got %#x, want %#x", i, s, b.State())
+		}
+		b.Step()
+	}
+	if a.State() != b.State() {
+		t.Fatalf("register left at %#x, want %#x", a.State(), b.State())
+	}
+}

@@ -129,13 +129,17 @@ func (m Model) Corrupt(t, slot, attempt int) uint64 {
 // each stream's prefix is folded once for all the sessions that share it:
 // Streams folds (seed, tag) once per model, Fold adds one coordinate, and
 // session (t, slot) is m.Streams().Fold(t).Fold(slot). An execution's
-// abort, flip and corrupt coins then cost one mix each, and an activation
-// coin one mix over its attempt's prefix. A coin fires when the top 53
-// bits of its hash fall below the integer threshold of its probability
-// (threshold), which is unit(h) < p without the float conversion. Every
-// coin equals the matching Model method bit for bit.
+// abort and flip coins then cost one mix each, and an activation coin one
+// mix over its attempt's prefix. The corrupt stream is read only when a
+// flip fires, so its last two coordinates — a session's t and slot — are
+// kept pending and folded by Corrupt, not by every Fold. A coin fires
+// when the top 53 bits of its hash fall below the integer threshold of
+// its probability (threshold), which is unit(h) < p without the float
+// conversion. Every coin equals the matching Model method bit for bit.
 type Session struct {
-	active, flip, abort, corrupt uint64 // stream prefixes
+	active, flip, abort, corrupt uint64 // stream prefixes; corrupt lacks pend
+	pend                         [2]uint64
+	npend                        int    // coordinates in pend, oldest first
 	activeT, flipT, abortT       uint64 // coin thresholds
 }
 
@@ -149,12 +153,19 @@ func (m Model) Streams() Session {
 	}
 }
 
-// Fold returns s with one more coordinate folded into every stream.
+// Fold returns s with one more coordinate folded into every stream; the
+// corrupt stream folds its oldest pending coordinate only when a third
+// arrives.
 func (s Session) Fold(id int) Session {
 	s.active = mix(s.active, uint64(id))
 	s.flip = mix(s.flip, uint64(id))
 	s.abort = mix(s.abort, uint64(id))
-	s.corrupt = mix(s.corrupt, uint64(id))
+	if s.npend == len(s.pend) {
+		s.corrupt = mix(s.corrupt, s.pend[0])
+		s.pend[0], s.npend = s.pend[1], 1
+	}
+	s.pend[s.npend] = uint64(id)
+	s.npend++
 	return s
 }
 
@@ -170,7 +181,11 @@ func (s *Session) Flips(attempt int) bool {
 
 // Corrupt is Model.Corrupt(t, slot, attempt).
 func (s *Session) Corrupt(attempt int) uint64 {
-	if v := mix(s.corrupt, uint64(attempt)); v != 0 {
+	h := s.corrupt
+	for _, id := range s.pend[:s.npend] {
+		h = mix(h, id)
+	}
+	if v := mix(h, uint64(attempt)); v != 0 {
 		return v
 	}
 	return 1

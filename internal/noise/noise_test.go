@@ -247,3 +247,26 @@ func FuzzSessionCoins(f *testing.F) {
 		checkSessionCoins(t, Model{Intermittent: q, Flip: flip, Abort: abort, Seed: seed}, ts, slot, attempt, pat)
 	})
 }
+
+// TestSessionCorruptAtAnyDepth: the corrupt stream keeps coordinates
+// pending, so check it against the hash of every coordinate at fold
+// depths below, at and past the two it keeps pending.
+func TestSessionCorruptAtAnyDepth(t *testing.T) {
+	m := Model{Flip: 0.5, Seed: 11}
+	ids := []uint64{3, 0, 17, 5, 2}
+	for depth := 0; depth <= len(ids); depth++ {
+		s := m.Streams()
+		for _, id := range ids[:depth] {
+			s = s.Fold(int(id))
+		}
+		for attempt := 0; attempt < 4; attempt++ {
+			want := hash(append(append([]uint64{m.Seed, tagCorrupt}, ids[:depth]...), uint64(attempt))...)
+			if want == 0 {
+				want = 1
+			}
+			if got := s.Corrupt(attempt); got != want {
+				t.Fatalf("depth %d attempt %d: Corrupt %#x, want %#x", depth, attempt, got, want)
+			}
+		}
+	}
+}

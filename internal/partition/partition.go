@@ -356,21 +356,24 @@ type stateCycles struct {
 	starts []int    // starts[c]: offset of cycle c; a last entry len(states)
 }
 
-// walkCycles steps l through every cycle of its state graph once.
+// walkCycles steps l's feedback map through every cycle of its state
+// graph once. It steps a local register, as lfsr.LFSR.Step does, and
+// leaves l as it was.
 func walkCycles(l *lfsr.LFSR) stateCycles {
-	total := uint64(1)<<uint(l.Degree()) - 1
+	top := uint(l.Degree())
+	poly := uint64(l.Poly())
+	total := uint64(1)<<top - 1
 	cy := stateCycles{states: make([]uint32, 0, total), starts: []int{0}}
 	visited := make([]uint64, total/64+1)
 	for start := uint64(1); uint64(len(cy.states)) < total; start++ {
 		if visited[start/64]>>(start%64)&1 != 0 {
 			continue
 		}
-		_ = l.Seed(start) // nonzero and within the register width
 		for s := start; ; {
 			visited[s/64] |= 1 << (s % 64)
 			cy.states = append(cy.states, uint32(s))
-			l.Step()
-			if s = l.State(); s == start {
+			s <<= 1
+			if s ^= poly & -(s >> top & 1); s == start {
 				break
 			}
 		}

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/bist"
 	"repro/internal/circuit"
@@ -38,9 +39,6 @@ type CircuitArtifacts struct {
 	Good    []*sim.Response
 	Engine  *bist.Engine
 	Diag    *diagnosis.Diagnoser
-	// Golden holds the fault-free signature per (partition, verdict slot)
-	// — the values a deployment stores on the tester.
-	Golden [][]uint64
 
 	// cacheKey/simCacheKey record the content keys this artifact set was
 	// cached under (empty when built without a cache); they let Pin find
@@ -50,21 +48,30 @@ type CircuitArtifacts struct {
 }
 
 // SOCArtifacts is the SOC-level counterpart: the SOC-scope fault simulator
-// over per-core pattern blocks, plus engine, diagnoser, and golden
-// signatures over the meta scan chains.
+// over per-core pattern blocks, plus engine and diagnoser over the meta
+// scan chains.
 type SOCArtifacts struct {
 	SOC    *soc.SOC
 	Spec   Spec // normalized
 	Sim    *soc.FaultSim
 	Engine *bist.Engine
 	Diag   *diagnosis.Diagnoser
-	Golden [][]uint64
 
 	// cacheKey/simCacheKey mirror CircuitArtifacts: the content keys Pin
 	// uses to find the cached entries (empty when built uncached).
 	cacheKey    string
 	simCacheKey string
+	// workers pools per-worker sweep state; see Workers.
+	workers sync.Pool
 }
+
+// Workers returns the pool of per-worker state of the fault sweeps over
+// these artifacts: a sweep worker takes its simulator fork, scratch and
+// diagnosis buffers from it and puts them back when the sweep ends, so
+// the many small core sweeps of an SOC diagnosis, and every later one
+// over the same artifacts, reuse a few states instead of building them
+// per sweep. What is pooled is up to the sweep; the pool only holds it.
+func (a *SOCArtifacts) Workers() *sync.Pool { return &a.workers }
 
 func (s Spec) plan() bist.Plan {
 	return bist.Plan{
@@ -165,8 +172,7 @@ func circuitEngine(c *circuit.Circuit, s Spec) (engineParts, error) {
 	return newEngineParts(cfg, s)
 }
 
-// buildCircuit assembles the artifacts from the two halves setUp resolved;
-// the golden signatures are the one step that needs both.
+// buildCircuit assembles the artifacts from the two halves setUp resolved.
 func buildCircuit(c *circuit.Circuit, s Spec, sa *simArtifacts, ep engineParts) *CircuitArtifacts {
 	return &CircuitArtifacts{
 		Circuit: c,
@@ -176,7 +182,6 @@ func buildCircuit(c *circuit.Circuit, s Spec, sa *simArtifacts, ep engineParts) 
 		Good:    sa.good,
 		Engine:  ep.eng,
 		Diag:    ep.diag,
-		Golden:  ep.eng.GoldenSignatures(sa.good, sa.blocks),
 	}
 }
 
@@ -225,6 +230,5 @@ func buildSOC(s *soc.SOC, spec Spec, sa *socSimArtifacts, ep engineParts) *SOCAr
 		Sim:    sa.fs,
 		Engine: ep.eng,
 		Diag:   ep.diag,
-		Golden: ep.eng.GoldenSignatures(sa.fs.Good(), sa.fs.Blocks()),
 	}
 }

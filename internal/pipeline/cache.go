@@ -373,7 +373,7 @@ func (c *ArtifactCache) PinSOC(a *SOCArtifacts) func() {
 
 // cost estimators; see MemoryFootprint on sim.FaultSim, soc.FaultSim and
 // bist.Engine. The full layer charges only what it adds on top of the
-// simulation layer it references (engine tables, golden signatures).
+// simulation layer it references (the engine tables).
 func (sa *simArtifacts) cost() int64 {
 	if sa == nil {
 		return errCost
@@ -385,11 +385,7 @@ func (a *CircuitArtifacts) cost() int64 {
 	if a == nil {
 		return errCost
 	}
-	n := a.Engine.MemoryFootprint()
-	for _, row := range a.Golden {
-		n += int64(len(row)) * 8
-	}
-	return n
+	return a.Engine.MemoryFootprint()
 }
 
 func (sa *socSimArtifacts) cost() int64 {
@@ -403,11 +399,7 @@ func (a *SOCArtifacts) cost() int64 {
 	if a == nil {
 		return errCost
 	}
-	n := a.Engine.MemoryFootprint()
-	for _, row := range a.Golden {
-		n += int64(len(row)) * 8
-	}
-	return n
+	return a.Engine.MemoryFootprint()
 }
 
 // Circuit returns the artifacts for (ct, spec), building at most once per

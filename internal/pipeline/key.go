@@ -31,7 +31,7 @@ import (
 
 // Spec is the content key of a diagnosis environment: every input that
 // shapes the build artifacts (pattern blocks, fault-free responses,
-// partitions, golden signatures) and nothing else. Runtime knobs — worker
+// partitions, syndrome tables) and nothing else. Runtime knobs — worker
 // counts, tester noise, retry budgets, vote thresholds — are deliberately
 // absent, so runs differing only in those share artifacts bit-for-bit.
 type Spec struct {

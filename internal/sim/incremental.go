@@ -20,12 +20,19 @@ import (
 // full-pass engine (Faulty, FaultyInto, RunReference) remains the
 // reference oracle, pinned bit-for-bit by the equivalence tests.
 
-// incState is the event-driven engine's reusable scratch: per-net dirty
+// EventState is the event-driven engine's reusable scratch: per-net dirty
 // values stamped with the epoch that wrote them, scheduling stamps, one
 // worklist bucket per combinational level, and the observation points the
 // epoch's events reached. A fresh epoch invalidates all stamps at once, so
 // nothing is cleared between faults.
-type incState struct {
+//
+// Nothing in it is tied to one circuit, so one goroutine may share an
+// EventState among forks of several circuits' FaultSims (ForkWith), as an
+// SOC worker does across its cores, provided it is sized for the largest:
+// a stamp another circuit wrote is below the current epoch and reads as
+// clean, the buckets above a circuit's depth stay empty, and the
+// wraparound clear covers the whole arrays.
+type EventState struct {
 	dirtyVal []uint64
 	dirtyAt  []uint32
 	schedAt  []uint32
@@ -35,27 +42,35 @@ type incState struct {
 	pos      []int32 // Outputs positions whose net changed this epoch
 }
 
-func newIncState(c *circuit.Circuit) *incState {
-	return &incState{
-		dirtyVal: make([]uint64, c.NumNets()),
-		dirtyAt:  make([]uint32, c.NumNets()),
-		schedAt:  make([]uint32, c.NumNets()),
-		levels:   make([][]circuit.NetID, c.Depth()+1),
+// NewEventState allocates event scratch for circuits of at most nets nets
+// and at most depth combinational levels.
+func NewEventState(nets, depth int) *EventState {
+	return &EventState{
+		dirtyVal: make([]uint64, nets),
+		dirtyAt:  make([]uint32, nets),
+		schedAt:  make([]uint32, nets),
+		levels:   make([][]circuit.NetID, depth+1),
 	}
 }
 
-// incState returns the FaultSim's lazily created event scratch. FaultSims
-// are single-goroutine (Fork per worker), so no locking is needed.
-func (fs *FaultSim) incState() *incState {
+// fits reports whether st is sized for circuit c.
+func (st *EventState) fits(c *circuit.Circuit) bool {
+	return len(st.dirtyVal) >= c.NumNets() && len(st.levels) > c.Depth()
+}
+
+// events returns the FaultSim's event scratch, creating it on first use.
+// FaultSims are single-goroutine (Fork per worker), so no locking is
+// needed.
+func (fs *FaultSim) events() *EventState {
 	if fs.inc == nil {
-		fs.inc = newIncState(fs.sim.c)
+		fs.inc = NewEventState(fs.sim.c.NumNets(), fs.sim.c.Depth())
 	}
 	return fs.inc
 }
 
 // begin opens a new event epoch. On the (rare) uint32 wraparound the stale
 // stamps are cleared so they cannot alias the new epoch.
-func (st *incState) begin() {
+func (st *EventState) begin() {
 	st.cells, st.pos = st.cells[:0], st.pos[:0]
 	st.epoch++
 	if st.epoch == 0 {
@@ -68,7 +83,7 @@ func (st *incState) begin() {
 
 // value reads a net under the current event set: its dirty value if an
 // event reached it this epoch, the cached fault-free value otherwise.
-func (st *incState) value(gv []uint64, id circuit.NetID) uint64 {
+func (st *EventState) value(gv []uint64, id circuit.NetID) uint64 {
 	if st.dirtyAt[id] == st.epoch {
 		return st.dirtyVal[id]
 	}
@@ -76,7 +91,7 @@ func (st *incState) value(gv []uint64, id circuit.NetID) uint64 {
 }
 
 // mark records a changed net value for this epoch.
-func (st *incState) mark(id circuit.NetID, v uint64) {
+func (st *EventState) mark(id circuit.NetID, v uint64) {
 	st.dirtyVal[id] = v
 	st.dirtyAt[id] = st.epoch
 }
@@ -87,7 +102,7 @@ func (st *incState) mark(id circuit.NetID, v uint64) {
 // are listed in cells, as is every output position of the net in pos. A
 // net is marked at most once per epoch, and a flip-flop has one D input,
 // so neither list repeats an entry.
-func (st *incState) schedule(c *circuit.Circuit, from circuit.NetID) {
+func (st *EventState) schedule(c *circuit.Circuit, from circuit.NetID) {
 	for _, g := range c.Fanout(from) {
 		if st.schedAt[g] == st.epoch {
 			continue
@@ -109,7 +124,7 @@ func (st *incState) schedule(c *circuit.Circuit, from circuit.NetID) {
 // response seeded with the fault-free values gv captures, and adds the
 // block's failing cells and detecting patterns to res. It reports whether
 // an error reached a primary output within mask.
-func (st *incState) capture(c *circuit.Circuit, gv []uint64, mask uint64, r *Response, res *Result) bool {
+func (st *EventState) capture(c *circuit.Circuit, gv []uint64, mask uint64, r *Response, res *Result) bool {
 	var anyErr uint64
 	for _, ci := range st.cells {
 		d := c.Nets[c.DFFs[ci]].Fanin[0]
@@ -135,7 +150,7 @@ func (st *incState) capture(c *circuit.Circuit, gv []uint64, mask uint64, r *Res
 // order guarantees every gate sees final input values, so each gate is
 // evaluated at most once; a recomputed value equal to the fault-free one
 // kills that branch of the frontier.
-func (s *Simulator) propagate(st *incState, gv []uint64) {
+func (s *Simulator) propagate(st *EventState, gv []uint64) {
 	c := s.c
 	for lvl := range st.levels {
 		bucket := st.levels[lvl]
@@ -168,7 +183,7 @@ func (s *Simulator) propagate(st *incState, gv []uint64) {
 // block and reports whether any event was raised. Branch faults on a
 // flip-flop D pin raise no combinational event (they force the captured
 // value only) and are handled by the caller.
-func (fs *FaultSim) seedStuckAt(st *incState, gv []uint64, f Fault, stuckVal uint64) bool {
+func (fs *FaultSim) seedStuckAt(st *EventState, gv []uint64, f Fault, stuckVal uint64) bool {
 	c := fs.sim.c
 	if f.Stem() {
 		// The site value is forced to stuckVal whether the net is a PI, a
@@ -236,7 +251,7 @@ func (fs *FaultSim) eventRun(f Fault, faulty []*Response, sc *Scratch, res *Resu
 		return
 	}
 
-	st := fs.incState()
+	st := fs.events()
 	poSeen := false
 	for bi, b := range fs.blocks {
 		gv := fs.goodVals[bi]

@@ -249,8 +249,8 @@ type FaultSim struct {
 	sim      *Simulator
 	blocks   []*Block
 	good     []*Response
-	goodVals [][]uint64 // per block: fault-free value of every net (read-only, shared by forks)
-	inc      *incState  // event-driven scratch, lazily created per fork
+	goodVals [][]uint64  // per block: fault-free value of every net (read-only, shared by forks)
+	inc      *EventState // event-driven scratch, lazily created per fork unless shared (ForkWith)
 	tc       *twoCycleCache
 	bc       *batchCache // net-major baseline rows for the batch engine, shared by forks
 }
@@ -280,6 +280,20 @@ func (fs *FaultSim) Circuit() *circuit.Circuit { return fs.sim.c }
 // concurrently — one Fork per goroutine.
 func (fs *FaultSim) Fork() *FaultSim {
 	return &FaultSim{sim: New(fs.sim.c), blocks: fs.blocks, good: fs.good, goodVals: fs.goodVals, tc: fs.tc, bc: fs.bc}
+}
+
+// ForkWith is Fork with st as the fork's event scratch instead of one of
+// its own, so that forks of several circuits' FaultSims used by one
+// goroutine can share one (see EventState). It panics if st is too small
+// for the circuit.
+func (fs *FaultSim) ForkWith(st *EventState) *FaultSim {
+	if !st.fits(fs.sim.c) {
+		panic(fmt.Sprintf("sim: event state for %d nets and %d levels is too small for circuit %s",
+			len(st.dirtyVal), len(st.levels), fs.sim.c.Name))
+	}
+	f := fs.Fork()
+	f.inc = st
+	return f
 }
 
 // Blocks returns the pattern blocks.

@@ -143,7 +143,7 @@ func (fs *FaultSim) twoCycle() *twoCycleCache {
 func (fs *FaultSim) RunTransition(f TransitionFault) *Result {
 	c := fs.sim.c
 	tc := fs.twoCycle()
-	st := fs.incState()
+	st := fs.events()
 	res := &Result{
 		Fault:        Fault{Net: f.Net, Gate: -1, Pin: -1},
 		FailingCells: bitset.New(c.NumDFFs()),

@@ -283,8 +283,12 @@ type FaultSim struct {
 	// sims holds this FaultSim's own. On the FaultSim NewFaultSim built
 	// they are the same slice. A fork starts with nil entries and forks a
 	// core's simulator on first use, since a core sweep touches one core.
-	root     []*sim.FaultSim
-	sims     []*sim.FaultSim
+	root []*sim.FaultSim
+	sims []*sim.FaultSim
+	// ev is a fork's one event scratch, sized for the largest core and
+	// shared by its per-core simulators (see sim.EventState); nil until
+	// the fork first runs a core.
+	ev       *sim.EventState
 	patterns [][]*sim.Block
 	good     []*sim.Response // global good responses per block
 	shape    []*sim.Block    // global-shaped blocks (N only) for the engine
@@ -320,8 +324,9 @@ func (fs *FaultSim) SOC() *SOC { return fs.soc }
 // Fork returns a FaultSim sharing the pattern set and cached fault-free
 // responses (read-only) with per-core scratch simulators of its own, for
 // concurrent fault injection — one Fork per goroutine. A core's simulator
-// is forked on the fork's first use of that core, so a sweep over one core
-// pays for one core's evaluation scratch, not every core's.
+// is forked on the fork's first use of that core, and every core's
+// simulator runs on the fork's one event scratch, so a fork that serves
+// many core sweeps holds one event scratch, not one per core.
 func (fs *FaultSim) Fork() *FaultSim {
 	return &FaultSim{
 		soc:      fs.soc,
@@ -337,9 +342,22 @@ func (fs *FaultSim) Fork() *FaultSim {
 // shared one on first use.
 func (fs *FaultSim) core(i int) *sim.FaultSim {
 	if fs.sims[i] == nil {
-		fs.sims[i] = fs.root[i].Fork()
+		fs.sims[i] = fs.root[i].ForkWith(fs.events())
 	}
 	return fs.sims[i]
+}
+
+// events returns the fork's shared event scratch, sized on first use for
+// the core with the most nets and the deepest core.
+func (fs *FaultSim) events() *sim.EventState {
+	if fs.ev == nil {
+		nets, depth := 0, 0
+		for _, c := range fs.soc.Cores {
+			nets, depth = max(nets, c.Circuit.NumNets()), max(depth, c.Circuit.Depth())
+		}
+		fs.ev = sim.NewEventState(nets, depth)
+	}
+	return fs.ev
 }
 
 // Good returns the global fault-free responses per block.
