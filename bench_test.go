@@ -617,9 +617,9 @@ func BenchmarkDiagnoserBuild(b *testing.B) {
 // under the noisy SOC benchmark workload's tester (SOC1, two-step, 32
 // groups, 8 partitions, 128 patterns; intermittent 0.5, 2% flips, 2%
 // aborts, 4 retries): NoisyCellVerdictsInto one pooled Verdicts, as a
-// sweep worker runs it, then Diagnose, DiagnoseRobust at vote threshold 2
-// and CandidateCounts over precomputed faulty responses of a 30-fault
-// sample per core.
+// sweep worker runs it, then DiagnoseInto, DiagnoseRobustInto at vote
+// threshold 2 and CandidateCounts into pooled buffers, over precomputed
+// faulty responses of a 30-fault sample per core.
 func BenchmarkNoisyDiagnosis(b *testing.B) {
 	s, err := soc.Preset("soc1")
 	if err != nil {
@@ -646,7 +646,8 @@ func BenchmarkNoisyDiagnosis(b *testing.B) {
 		}
 	}
 	counts := make([]int, opts.Partitions)
-	v := art.Engine.NewVerdicts()
+	v, rel := art.Engine.NewVerdicts(), new(bist.Reliability)
+	base, res := art.Diag.NewResult(), art.Diag.NewResult()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ReportAllocs()
@@ -655,9 +656,10 @@ func BenchmarkNoisyDiagnosis(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, c := range cases {
 			m := opts.Noise.Fork(uint64(int64(c.Fault.Net)+1), uint64(int64(c.Fault.Gate)+1), uint64(int64(c.Fault.Pin)+1), uint64(c.Fault.Stuck))
-			art.Engine.NoisyCellVerdictsInto(c.FailingCells, good, c.Faulty, blocks, m, opts.Retry, v)
-			sink += art.Diag.Diagnose(v).Pruned.Len()
-			sink += art.Diag.DiagnoseRobust(v, opts.VoteThreshold).Pruned.Len()
+			art.Engine.NoisyCellVerdictsInto(c.FailingCells, good, c.Faulty, blocks, m, opts.Retry, v, rel)
+			art.Diag.DiagnoseInto(v, base)
+			art.Diag.DiagnoseRobustInto(v, opts.VoteThreshold, res)
+			sink += base.Pruned.Len() + res.Pruned.Len()
 			art.Diag.CandidateCounts(v, counts)
 		}
 	}

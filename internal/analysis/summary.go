@@ -63,6 +63,9 @@ func (c *factCollector) visit(x ast.Node) bool {
 		if x.Op == token.ARROW {
 			s.Blocks = append(s.Blocks, BlockSite{x.OpPos, "channel receive"})
 		}
+		if _, ok := ast.Unparen(x.X).(*ast.CompositeLit); ok && x.Op == token.AND {
+			s.Allocs = append(s.Allocs, AllocSite{x.OpPos, "address of a composite literal"})
+		}
 		return true
 	case *ast.SelectStmt:
 		hasDefault := false

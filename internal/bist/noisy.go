@@ -139,19 +139,20 @@ func (c *sessionTable) session(s int) ([]int32, []uint64) {
 func (e *Engine) NoisyVerdicts(good, faulty []*sim.Response, blocks []*sim.Block, m noise.Model, rp RetryPolicy) (*Verdicts, *Reliability) {
 	cells := e.failingCells(good, faulty, blocks)
 	defer e.cellSets.Put(cells)
-	v := e.NewVerdicts()
-	return v, e.NoisyCellVerdictsInto(cells, good, faulty, blocks, m, rp, v)
+	v, rel := e.NewVerdicts(), new(Reliability)
+	e.NoisyCellVerdictsInto(cells, good, faulty, blocks, m, rp, v, rel)
+	return v, rel
 }
 
-// NoisyCellVerdictsInto recomputes v in place as NoisyVerdicts would over
-// a known failing-cell set, and returns the run's Reliability. cells must
-// hold every cell whose faulty words differ from the good ones (the
-// simulator's Result.FailingCells), and only those cells' words are read.
-// A cell without an error bit adds nothing, so a superset gives the same
-// result. v must come from NewVerdicts on this engine; its Unknown rows
-// are attached on first use and reused after, so in the steady state the
-// returned Reliability is the only allocation.
-func (e *Engine) NoisyCellVerdictsInto(cells *bitset.Set, good, faulty []*sim.Response, blocks []*sim.Block, m noise.Model, rp RetryPolicy, v *Verdicts) *Reliability {
+// NoisyCellVerdictsInto recomputes v and rel in place as NoisyVerdicts
+// would over a known failing-cell set. cells must hold every cell whose
+// faulty words differ from the good ones (the simulator's
+// Result.FailingCells), and only those cells' words are read. A cell
+// without an error bit adds nothing, so a superset gives the same result.
+// v must come from NewVerdicts on this engine; its Unknown rows are
+// attached on first use and reused after, so in the steady state the
+// call allocates nothing.
+func (e *Engine) NoisyCellVerdictsInto(cells *bitset.Set, good, faulty []*sim.Response, blocks []*sim.Block, m noise.Model, rp RetryPolicy, v *Verdicts, rel *Reliability) {
 	c := e.sessionTable(cells, good, faulty, blocks)
 	defer e.tables.Put(c)
 	if v.Unknown == nil {
@@ -162,7 +163,7 @@ func (e *Engine) NoisyCellVerdictsInto(cells *bitset.Set, good, faulty []*sim.Re
 		clear(v.ErrSig[t])
 		clear(v.Unknown[t])
 	}
-	rel := &Reliability{Sessions: e.plan.Partitions * e.vgroups}
+	*rel = Reliability{Sessions: e.plan.Partitions * e.vgroups}
 	runs := rp.Runs()
 	execs := c.execs
 	streams := m.Streams()
@@ -233,7 +234,6 @@ func (e *Engine) NoisyCellVerdictsInto(cells *bitset.Set, good, faulty []*sim.Re
 		}
 	}
 	c.execs = execs
-	return rel
 }
 
 // sessionTable builds the table of the error bits of cells, in two walks

@@ -139,7 +139,8 @@ func checkNoisyVerdictsMatchScan(t *testing.T, label string, fx *scanFixture, fa
 			cells *bitset.Set
 		}{{"failing cells", failing}, {"superset", superset}} {
 			v := dirtyVerdicts(e, rng)
-			rel := e.NoisyCellVerdictsInto(cs.cells, fx.good, faulty, fx.blocks, m, rp, v)
+			rel := new(Reliability)
+			e.NoisyCellVerdictsInto(cs.cells, fx.good, faulty, fx.blocks, m, rp, v, rel)
 			check("NoisyCellVerdictsInto over "+cs.how, v, rel)
 		}
 	}
@@ -210,8 +211,8 @@ func FuzzNoisyVerdictsMatchScan(f *testing.F) {
 }
 
 // TestNoisyCellVerdictsIntoAllocs: in the steady state the noisy verdict
-// step allocates only the Reliability it returns — the table comes from
-// the engine's pool and the Unknown rows are the buffer's own.
+// step allocates nothing — the table comes from the engine's pool, the
+// Unknown rows are the buffer's own and the Reliability is the caller's.
 func TestNoisyCellVerdictsIntoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a random share of its puts under -race")
@@ -227,10 +228,10 @@ func TestNoisyCellVerdictsIntoAllocs(t *testing.T) {
 	if !res.Detected() {
 		t.Fatal("fixture fault is undetected")
 	}
-	v := fx.e.NewVerdicts()
-	step := func() { fx.e.NoisyCellVerdictsInto(res.FailingCells, fx.good, res.Faulty, fx.blocks, m, rp, v) }
+	v, rel := fx.e.NewVerdicts(), new(Reliability)
+	step := func() { fx.e.NoisyCellVerdictsInto(res.FailingCells, fx.good, res.Faulty, fx.blocks, m, rp, v, rel) }
 	step()
-	if n := testing.AllocsPerRun(50, step); n != 1 {
-		t.Errorf("NoisyCellVerdictsInto allocates %v times per call, want 1 (the Reliability)", n)
+	if n := testing.AllocsPerRun(50, step); n != 0 {
+		t.Errorf("NoisyCellVerdictsInto allocates %v times per call, want 0", n)
 	}
 }

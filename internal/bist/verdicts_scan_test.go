@@ -190,7 +190,7 @@ func checkVerdictsMatchScan(t *testing.T, label string, fx *scanFixture, rng *ra
 			}
 			check("CellVerdictsUpTo over "+cs.how, v)
 			got := dirtyVerdicts(e, rng)
-			e.NoisyCellVerdictsInto(cs.cells, fx.good, faulty, fx.blocks, noise.Model{}, rp, got)
+			e.NoisyCellVerdictsInto(cs.cells, fx.good, faulty, fx.blocks, noise.Model{}, rp, got, new(Reliability))
 			if got.HasUnknown() {
 				t.Fatalf("%s: a perfect tester produced Unknown verdicts over %s", name, cs.how)
 			}
@@ -198,8 +198,8 @@ func checkVerdictsMatchScan(t *testing.T, label string, fx *scanFixture, rng *ra
 			check("NoisyCellVerdictsInto over "+cs.how, got)
 		}
 		base, baseRel := e.NoisyVerdicts(fx.good, faulty, fx.blocks, noisy, rp)
-		got := e.NewVerdicts()
-		rel := e.NoisyCellVerdictsInto(superset, fx.good, faulty, fx.blocks, noisy, rp, got)
+		got, rel := e.NewVerdicts(), new(Reliability)
+		e.NoisyCellVerdictsInto(superset, fx.good, faulty, fx.blocks, noisy, rp, got, rel)
 		if !reflect.DeepEqual(got, base) || *rel != *baseRel {
 			t.Fatalf("%s: noisy verdicts over a superset differ from NoisyVerdicts", name)
 		}

@@ -2,11 +2,11 @@ package core
 
 import (
 	"context"
-	"slices"
 	"sync"
 
 	"repro/internal/bitset"
 	"repro/internal/circuit"
+	"repro/internal/diagnosis"
 	"repro/internal/pipeline"
 	"repro/internal/sim"
 	"repro/internal/soc"
@@ -141,8 +141,18 @@ type sweepWorker struct {
 // until its next call.
 type faultRun func(f sim.Fault) (actual *bitset.Set, detected bool, faulty []*sim.Response)
 
+// run sweeps faults and aggregates the study from per-fault summaries
+// (diagWorker.count), written into arrays allocated once per sweep. Only
+// when observe is set does it also copy each fault's diagnosis out of its
+// worker's buffers into a FaultDiagnosis.
 func (sw sweep) run(ctx context.Context, faults []sim.Fault, observe func(*FaultDiagnosis)) (*Study, error) {
-	results := make([]*FaultDiagnosis, len(faults))
+	np := sw.o.Partitions
+	sums := make([]faultSummary, len(faults))
+	byPart := make([]int32, len(faults)*np)
+	var fds []*FaultDiagnosis
+	if observe != nil {
+		fds = make([]*FaultDiagnosis, len(faults))
+	}
 	ex := pipeline.Executor{Workers: sw.o.Workers, Retry: sw.o.Retry.Policy()}
 	jobs := (len(faults) + sweepJob - 1) / sweepJob
 	var (
@@ -164,9 +174,10 @@ func (sw sweep) run(ctx context.Context, faults []sim.Fault, observe func(*Fault
 				i := lo + k
 				defer w.annotatePanic(k, faults[i], sw.c)
 				actual, detected, faulty := w.run(faults[i])
-				// The sweep's ctx is polled per job and lane claim; a lane
-				// always observes every partition.
-				results[i], _ = w.diag.diagnose(context.Background(), faults[i], actual, detected, faulty)
+				w.diag.count(faults[i], actual, detected, faulty, &sums[i], byPart[i*np:(i+1)*np])
+				if fds != nil {
+					fds[i] = w.diag.fault(faults[i], actual, detected)
+				}
 				return nil
 			},
 		}
@@ -177,14 +188,23 @@ func (sw sweep) run(ctx context.Context, faults []sim.Fault, observe func(*Fault
 			w.put()
 		}
 	}
-	// Keep the longest contiguous prefix of completed diagnoses. Results
-	// past the first gap (jobs cancelled or abandoned mid-flight) are
-	// dropped: a prefix has a clean meaning — "the sweep ran out of time
-	// after fault n" — where a gappy subset does not.
-	if n := slices.Index(results, nil); n >= 0 {
-		clear(results[n:])
+	// Aggregate the longest contiguous prefix of completed diagnoses.
+	// Faults past the first gap (jobs cancelled or abandoned mid-flight)
+	// are dropped: a prefix has a clean meaning — "the sweep ran out of
+	// time after fault n" — where a gappy subset does not.
+	n := 0
+	for n < len(faults) && sums[n].observed && (fds == nil || fds[n] != nil) {
+		n++
 	}
-	return MergeObserved(sw.o, sw.o.Scheme.Name(), results, observe), err
+	study := newStudy(sw.o, sw.o.Scheme.Name())
+	for i := range n {
+		if observe != nil {
+			observe(fds[i])
+		}
+		study.add(&sums[i], byPart[i*np:(i+1)*np])
+	}
+	study.Completeness = diagnosis.Completeness{Observed: n, Scheduled: len(faults)}
+	return study, err
 }
 
 // annotatePanic re-raises a panic unwinding out of one of w's lanes

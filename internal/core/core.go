@@ -258,30 +258,87 @@ func newStudy(o Options, schemeName string) *Study {
 	}
 }
 
-func (s *Study) add(fd *FaultDiagnosis) {
-	if !fd.Detected {
+// faultSummary is everything a Study reads of one fault's diagnosis: a
+// fixed-size record of set sizes and flags, so a sweep without an
+// observer keeps no per-fault set (DESIGN.md §23). A fault's
+// CandidatesByPartition is kept beside it, in a flat array of one int32
+// per partition and fault.
+type faultSummary struct {
+	// observed marks a fault whose diagnosis finished; a sweep aggregates
+	// the longest prefix of observed faults.
+	observed bool
+	detected bool
+	// missed is FaultDiagnosis.Missed.
+	missed bool
+	// noisy marks a fault diagnosed behind a noisy tester, which carries
+	// a baseline and a Reliability.
+	noisy      bool
+	baseMissed bool
+	actual     int32 // |Actual|
+	candidates int32 // |Result.Candidates|
+	pruned     int32 // |Result.Pruned|
+	baseCands  int32 // |Baseline.Candidates|
+	rel        bist.Reliability
+}
+
+// set records a diagnosis given by its parts: the failing cells, the
+// result and, for a noisy fault, the baseline and the Reliability (nil
+// otherwise). The sets are only read.
+func (s *faultSummary) set(actual *bitset.Set, detected bool, res, base *diagnosis.Result, rel *bist.Reliability) {
+	*s = faultSummary{observed: true, detected: detected}
+	if !detected {
+		return
+	}
+	s.actual = int32(actual.Len())
+	s.candidates = int32(res.Candidates.Len())
+	s.pruned = int32(res.Pruned.Len())
+	s.missed = !res.Pruned.SupersetOf(actual)
+	if base != nil {
+		s.noisy = true
+		s.baseCands = int32(base.Candidates.Len())
+		s.baseMissed = !base.Pruned.SupersetOf(actual)
+	}
+	if rel != nil {
+		s.rel = *rel
+	}
+}
+
+// summary records fd's summary in s and its CandidatesByPartition in
+// byPart.
+func (fd *FaultDiagnosis) summary(s *faultSummary, byPart []int32) {
+	s.set(fd.Actual, fd.Detected, fd.Result, fd.Baseline, fd.Reliability)
+	if fd.Detected {
+		for k := range byPart {
+			byPart[k] = int32(fd.CandidatesByPartition[k])
+		}
+	}
+}
+
+// add aggregates one fault: its summary and its CandidatesByPartition
+// over every partition. Every study total is an integer sum, so the
+// order faults are added in does not change the result.
+func (s *Study) add(fs *faultSummary, byPart []int32) {
+	if !fs.detected {
 		s.Undetected++
 		return
 	}
 	s.Diagnosed++
-	actual := fd.Actual.Len()
+	actual := int(fs.actual)
 	for k := range s.ByPartition {
-		s.ByPartition[k].Add(fd.CandidatesByPartition[k], actual)
+		s.ByPartition[k].Add(int(byPart[k]), actual)
 	}
-	s.Full.Add(fd.Result.Candidates.Len(), actual)
-	s.Pruned.Add(fd.Result.Pruned.Len(), actual)
-	if fd.Missed() {
+	s.Full.Add(int(fs.candidates), actual)
+	s.Pruned.Add(int(fs.pruned), actual)
+	if fs.missed {
 		s.Misses++
 	}
-	if fd.Baseline != nil {
-		s.BaselineFull.Add(fd.Baseline.Candidates.Len(), actual)
-		if !fd.Baseline.Pruned.SupersetOf(fd.Actual) {
+	if fs.noisy {
+		s.BaselineFull.Add(int(fs.baseCands), actual)
+		if fs.baseMissed {
 			s.BaselineMisses++
 		}
 	}
-	if fd.Reliability != nil {
-		s.Reliability.Merge(fd.Reliability)
-	}
+	s.Reliability.Merge(&fs.rel)
 }
 
 // PartitionsToReachDR returns the smallest partition count k whose
@@ -377,9 +434,11 @@ func (b *CircuitBench) worker() *diagWorker {
 	return newDiagWorker(b.Opts, b.art.Engine, b.art.Diag, b.art.Good, b.art.Blocks)
 }
 
-// diagWorker carries one worker's reusable diagnosis buffers — a pooled
-// Verdicts and the candidate-count scratch — so the steady-state fault
-// loop only allocates what escapes into the FaultDiagnosis.
+// diagWorker carries one worker's reusable diagnosis buffers: a pooled
+// Verdicts, the candidate-count scratch and the result, baseline and
+// Reliability of the last fault. A sweep reads a fault's summary from
+// them, so the steady-state fault loop allocates nothing; a
+// FaultDiagnosis is a copy of them.
 type diagWorker struct {
 	o      Options
 	eng    *bist.Engine
@@ -388,6 +447,13 @@ type diagWorker struct {
 	blocks []*sim.Block
 	v      *bist.Verdicts
 	counts []int
+
+	// The last fault's outcome: res and counts[:k] over the k partitions
+	// observed, and base and rel when noisy.
+	res, base *diagnosis.Result
+	rel       bist.Reliability
+	k         int
+	noisy     bool
 }
 
 func newDiagWorker(o Options, eng *bist.Engine, diag *diagnosis.Diagnoser, good []*sim.Response, blocks []*sim.Block) *diagWorker {
@@ -395,46 +461,96 @@ func newDiagWorker(o Options, eng *bist.Engine, diag *diagnosis.Diagnoser, good 
 		o: o, eng: eng, diag: diag, good: good, blocks: blocks,
 		v:      eng.NewVerdicts(),
 		counts: make([]int, o.Partitions),
+		res:    diag.NewResult(),
+		base:   diag.NewResult(),
 	}
 }
 
-// diagnose is the one verdicts → candidates step behind every sweep and
-// single-fault API. It derives session verdicts — deterministic for a
-// perfect tester, tri-state with retries and voting under noise — and
-// diagnoses the prefix of partitions observed before ctx ended; a sweep
-// passes context.Background() and always observes them all. actual and
-// faulty may alias worker scratch; everything escaping into the
-// FaultDiagnosis is copied.
-func (w *diagWorker) diagnose(ctx context.Context, f sim.Fault, actual *bitset.Set, detected bool, faulty []*sim.Response) (*FaultDiagnosis, error) {
-	n := w.o.Partitions
-	fd := &FaultDiagnosis{Fault: f, Actual: actual.Clone(), Detected: detected,
-		Completeness: diagnosis.Completeness{Observed: n, Scheduled: n}}
+// step is the one verdicts → candidates step behind every sweep and
+// single-fault API; it leaves the fault's outcome in w. It derives
+// session verdicts — deterministic for a perfect tester, tri-state with
+// retries and voting under noise — and diagnoses the prefix of
+// partitions observed before ctx ended; a sweep passes
+// context.Background() and always observes them all. actual and faulty
+// may alias worker scratch and are only read.
+func (w *diagWorker) step(ctx context.Context, f sim.Fault, actual *bitset.Set, detected bool, faulty []*sim.Response) error {
+	w.k, w.noisy = w.o.Partitions, false
 	if !detected {
-		return fd, ctx.Err()
+		return ctx.Err()
 	}
-	v, k, err := w.v, n, error(nil)
+	var err error
 	if w.o.Noise.Enabled() {
 		// The noisy flow runs every session Retry.Runs() times and votes;
 		// a deadline fine enough to split it is not modelled, so it is
 		// all-or-nothing on the context state at entry.
 		if err = ctx.Err(); err != nil {
-			k = 0
+			w.k = 0
 		} else {
 			// Fork a per-fault substream keyed by the fault's identity so
 			// the noise a fault sees is independent of diagnosis order.
 			m := w.o.Noise.Fork(uint64(int64(f.Net)+1), uint64(int64(f.Gate)+1),
 				uint64(int64(f.Pin)+1), uint64(f.Stuck))
-			fd.Reliability = w.eng.NoisyCellVerdictsInto(actual, w.good, faulty, w.blocks, m, w.o.Retry, v)
-			fd.Baseline = w.diag.Diagnose(v)
+			w.eng.NoisyCellVerdictsInto(actual, w.good, faulty, w.blocks, m, w.o.Retry, w.v, &w.rel)
+			w.diag.DiagnoseInto(w.v, w.base)
+			w.noisy = true
 		}
 	} else {
-		k, err = w.eng.CellVerdictsUpTo(ctx, actual, w.good, faulty, w.blocks, v)
+		w.k, err = w.eng.CellVerdictsUpTo(ctx, actual, w.good, faulty, w.blocks, w.v)
 	}
-	fd.Completeness.Observed = k
-	fd.Result = w.diag.DiagnoseRobust(v.Prefix(k), w.o.VoteThreshold)
-	w.diag.CandidateCounts(v, w.counts[:k])
-	fd.CandidatesByPartition = append([]int(nil), w.counts[:k]...)
-	return fd, err
+	w.diag.DiagnoseRobustInto(w.v.Prefix(w.k), w.o.VoteThreshold, w.res)
+	w.diag.CandidateCounts(w.v, w.counts[:w.k])
+	return err
+}
+
+// count is a sweep's count-only per-fault step: it diagnoses one fault
+// on w's buffers and writes the summary a Study reads into s and the
+// fault's CandidatesByPartition into byPart.
+//
+//allochot:entry
+func (w *diagWorker) count(f sim.Fault, actual *bitset.Set, detected bool, faulty []*sim.Response, s *faultSummary, byPart []int32) {
+	// A sweep's lanes always observe every partition: the sweep's ctx is
+	// polled per job and lane claim, not here.
+	_ = w.step(context.Background(), f, actual, detected, faulty)
+	base, rel := w.base, &w.rel
+	if !w.noisy {
+		base, rel = nil, nil
+	}
+	s.set(actual, detected, w.res, base, rel)
+	if detected {
+		for k, c := range w.counts[:w.k] {
+			byPart[k] = int32(c)
+		}
+	}
+}
+
+// fault copies the outcome of w's last step, for fault f with the
+// given failing cells, into a FaultDiagnosis that owns its sets.
+func (w *diagWorker) fault(f sim.Fault, actual *bitset.Set, detected bool) *FaultDiagnosis {
+	n := w.o.Partitions
+	fd := &FaultDiagnosis{Fault: f, Actual: actual.Clone(), Detected: detected,
+		Completeness: diagnosis.Completeness{Observed: w.k, Scheduled: n}}
+	if !detected {
+		return fd
+	}
+	fd.Result = cloneResult(w.res)
+	if w.noisy {
+		fd.Baseline = cloneResult(w.base)
+		rel := w.rel
+		fd.Reliability = &rel
+	}
+	fd.CandidatesByPartition = append([]int(nil), w.counts[:w.k]...)
+	return fd
+}
+
+// cloneResult returns a copy of r that shares no set with it.
+func cloneResult(r *diagnosis.Result) *diagnosis.Result {
+	return &diagnosis.Result{Candidates: r.Candidates.Clone(), Pruned: r.Pruned.Clone(), Confirmed: r.Confirmed.Clone()}
+}
+
+// diagnose is step followed by fault: the single-fault APIs' diagnosis.
+func (w *diagWorker) diagnose(ctx context.Context, f sim.Fault, actual *bitset.Set, detected bool, faulty []*sim.Response) (*FaultDiagnosis, error) {
+	err := w.step(ctx, f, actual, detected, faulty)
+	return w.fault(f, actual, detected), err
 }
 
 // Run diagnoses every fault and aggregates the study, using

@@ -295,14 +295,12 @@ func TestSOCPooledMatchesReference(t *testing.T) {
 		if len(fds) != len(faults) {
 			t.Fatalf("noisy=%t: observed %d diagnoses for %d faults", noisy, len(fds), len(faults))
 		}
-		ref := newStudy(o, o.Scheme.Name())
+		refs := make([]*FaultDiagnosis, len(faults))
 		for i, f := range faults {
-			fd := referenceSOCDiagnosis(b, core, f)
-			ref.add(fd)
-			requireSameDiagnosis(t, fmt.Sprintf("noisy=%t fault %d", noisy, i), fds[i], fd)
+			refs[i] = referenceSOCDiagnosis(b, core, f)
+			requireSameDiagnosis(t, fmt.Sprintf("noisy=%t fault %d", noisy, i), fds[i], refs[i])
 		}
-		ref.Completeness = diagnosis.Completeness{Observed: len(faults), Scheduled: len(faults)}
-		if !reflect.DeepEqual(pooled, ref) {
+		if ref := MergeObserved(o, o.Scheme.Name(), refs, nil); !reflect.DeepEqual(pooled, ref) {
 			t.Errorf("noisy=%t: pooled SOC study %+v differs from reference %+v", noisy, pooled, ref)
 		}
 

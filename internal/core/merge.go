@@ -10,19 +10,19 @@ import "repro/internal/diagnosis"
 // global fault list, nil slots mark faults whose shard failed or was
 // cancelled.
 //
-// It is also the local sweep's aggregator: a sweep clears its results
-// past the first nil, so a cancelled sweep reports the contiguous prefix
-// it finished ("ran out of time after fault n"). The merge itself
-// accepts gaps: a dead worker punches a hole in the middle of the fault
-// list, and every completed shard around it is still sound and worth
-// reporting. Completeness records Observed (non-nil slots) against
-// Scheduled so callers can see exactly how degraded the study is.
+// It shares the local sweep's aggregator: each diagnosis is reduced to
+// the summary a sweep's worker writes (faultSummary) and added by the
+// same Study.add. Unlike a sweep, which keeps only the contiguous prefix
+// it finished ("ran out of time after fault n"), the merge accepts gaps:
+// a dead worker punches a hole in the middle of the fault list, and
+// every completed shard around it is still sound and worth reporting.
+// Completeness records Observed (non-nil slots) against Scheduled so
+// callers can see exactly how degraded the study is.
 //
-// Aggregation order is slot-major: Study totals and the observe
-// callback see fault i before fault j whenever i < j, regardless of
-// which shard, worker, or process produced them — this is what makes a
-// multi-worker run's output bit-identical to the single-process sweep
-// when no slot is nil.
+// The observe callback sees fault i before fault j whenever i < j,
+// regardless of which shard, worker, or process produced them. Study
+// totals are integer sums, so they equal the single-process sweep's
+// whenever no slot is nil.
 //
 // Every non-nil diagnosis must be complete (CandidatesByPartition
 // covering all of o.Partitions, as RunObserved produces); partially
@@ -31,6 +31,8 @@ import "repro/internal/diagnosis"
 func MergeObserved(o Options, schemeName string, results []*FaultDiagnosis, observe func(*FaultDiagnosis)) *Study {
 	o = o.withDefaults()
 	study := newStudy(o, schemeName)
+	var sum faultSummary
+	byPart := make([]int32, o.Partitions)
 	observed := 0
 	for _, fd := range results {
 		if fd == nil {
@@ -40,7 +42,8 @@ func MergeObserved(o Options, schemeName string, results []*FaultDiagnosis, obse
 		if observe != nil {
 			observe(fd)
 		}
-		study.add(fd)
+		fd.summary(&sum, byPart)
+		study.add(&sum, byPart)
 	}
 	study.Completeness = diagnosis.Completeness{Observed: observed, Scheduled: len(results)}
 	return study

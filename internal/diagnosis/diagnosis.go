@@ -61,7 +61,7 @@ type Diagnoser struct {
 	words []uint64
 	// loc[cell] is the cell's chain and position, for slotOf.
 	loc []cellLoc
-	// scratch pools prune's *pruneScratch.
+	// scratch pools pruneInto's *pruneScratch.
 	scratch sync.Pool
 }
 
@@ -234,15 +234,25 @@ func (d *Diagnoser) orMask(acc []uint64, base, t, g int) {
 // numWords returns the word count of a set over every cell.
 func (d *Diagnoser) numWords() int { return (d.cfg.NumCells + 63) / 64 }
 
-// allCells returns the set of every scanned cell.
-func (d *Diagnoser) allCells() *bitset.Set {
-	cand := bitset.New(d.cfg.NumCells)
+// allCellsInto sets dst to every scanned cell.
+func (d *Diagnoser) allCellsInto(dst *bitset.Set) {
+	dst.Reset()
 	for _, ch := range d.cfg.Chains {
 		for _, cell := range ch.Cells {
-			cand.Add(cell)
+			dst.Add(cell)
 		}
 	}
-	return cand
+}
+
+// NewResult returns a Result whose three sets are sized over every cell:
+// the buffer the Into forms below write, which a caller reuses across
+// faults.
+func (d *Diagnoser) NewResult() *Result {
+	return &Result{
+		Candidates: bitset.New(d.cfg.NumCells),
+		Pruned:     bitset.New(d.cfg.NumCells),
+		Confirmed:  bitset.New(d.cfg.NumCells),
+	}
 }
 
 // chunkWords bounds the stack buffers of the word-parallel passes, which
@@ -251,11 +261,11 @@ const chunkWords = 128
 
 // intersect runs inclusion–exclusion over the first k ≥ 1 partitions as
 // word algebra: per partition it ORs the masks of the failing slots and
-// ANDs that into a running set. When out is non-nil (numWords long and
-// zero) the set after k partitions is written there; when counts is
-// non-nil (k long) the popcount after t+1 partitions is added to
-// counts[t]. Within a chunk, later partitions only touch the span of
-// words the running set still holds.
+// ANDs that into a running set. When out is non-nil (numWords long) the
+// set after k partitions overwrites it, since the first partition writes
+// every word; when counts is non-nil (k long) the popcount after t+1
+// partitions is added to counts[t]. Within a chunk, later partitions only
+// touch the span of words the running set still holds.
 func (d *Diagnoser) intersect(v *bist.Verdicts, k int, out []uint64, counts []int) {
 	var runBuf, accBuf [chunkWords]uint64
 	nw := d.numWords()
@@ -310,13 +320,20 @@ func (d *Diagnoser) intersect(v *bist.Verdicts, k int, out []uint64, counts []in
 // The candidate set is the AND over the partitions of the OR of each
 // partition's failing-slot masks.
 func (d *Diagnoser) Candidates(v *bist.Verdicts, k int) *bitset.Set {
+	cand := bitset.New(d.cfg.NumCells)
+	d.candidatesInto(v, k, cand)
+	return cand
+}
+
+// candidatesInto writes Candidates(v, k) into dst, a set sized over every
+// cell (as NewResult's are), whatever it held before.
+func (d *Diagnoser) candidatesInto(v *bist.Verdicts, k int, dst *bitset.Set) {
 	k = min(k, len(v.Fail))
 	if k <= 0 {
-		return d.allCells()
+		d.allCellsInto(dst)
+		return
 	}
-	cand := bitset.New(d.cfg.NumCells)
-	d.intersect(v, k, cand.Words(), nil)
-	return cand
+	d.intersect(v, k, dst.Words(), nil)
 }
 
 // CandidateCounts fills counts[k-1] with Candidates(v, k).Len() for every
@@ -342,12 +359,19 @@ func (d *Diagnoser) CandidateCounts(v *bist.Verdicts, counts []int) {
 // Diagnose runs the full flow over all partitions: intersection candidates,
 // then superposition pruning.
 func (d *Diagnoser) Diagnose(v *bist.Verdicts) *Result {
-	cand := d.Candidates(v, len(v.Fail))
-	pruned, confirmed := d.prune(v, cand)
-	return &Result{Candidates: cand, Pruned: pruned, Confirmed: confirmed}
+	r := d.NewResult()
+	d.DiagnoseInto(v, r)
+	return r
 }
 
-// pruneScratch holds prune's reusable buffers.
+// DiagnoseInto writes Diagnose(v) into r, a NewResult buffer, whatever it
+// held before.
+func (d *Diagnoser) DiagnoseInto(v *bist.Verdicts, r *Result) {
+	d.candidatesInto(v, len(v.Fail), r.Candidates)
+	d.pruneInto(v, r.Candidates, r.Pruned, r.Confirmed)
+}
+
+// pruneScratch holds pruneInto's reusable buffers.
 type pruneScratch struct {
 	// unk[id] and res[id] are the unexplained-candidate count and the
 	// residual signature of failing session id = t×stride+g, valid for
@@ -358,8 +382,10 @@ type pruneScratch struct {
 	live []int32
 }
 
-// prune refines the candidate set cand, which must be Candidates over
-// every partition of v, using error-signature superposition.
+// pruneInto refines the candidate set cand, which must be Candidates over
+// every partition of v, using error-signature superposition, and writes
+// the refined set into pruned and the cells it proves failing into
+// confirmed; both are sized as cand and overwritten.
 // Invariant: a failing cell is never removed as long as the single-fault
 // assumption's error signatures are consistent (syndrome cancellation of
 // distinct cells is the only escape, and requires a 2^-degree collision).
@@ -376,11 +402,11 @@ type pruneScratch struct {
 // order, because which session confirms a cell first can decide its
 // syndrome. A session with unk = 0 can never act again (pruned only
 // shrinks and confirmed only grows), so it is dropped.
-func (d *Diagnoser) prune(v *bist.Verdicts, cand *bitset.Set) (pruned, confirmed *bitset.Set) {
-	pruned = cand.Clone()
-	confirmed = bitset.New(d.cfg.NumCells)
+func (d *Diagnoser) pruneInto(v *bist.Verdicts, cand, pruned, confirmed *bitset.Set) {
+	copy(pruned.Words(), cand.Words())
+	confirmed.Reset()
 	if len(v.ErrSig) == 0 {
-		return pruned, confirmed
+		return
 	}
 	kmax := len(v.Fail)
 	stride := 0
@@ -464,7 +490,6 @@ func (d *Diagnoser) prune(v *bist.Verdicts, cand *bitset.Set) (pruned, confirmed
 	}
 	sc.live = live
 	d.scratch.Put(sc)
-	return pruned, confirmed
 }
 
 // DR is the paper's diagnostic-resolution accumulator:

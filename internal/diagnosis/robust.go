@@ -23,15 +23,23 @@ import (
 // (plane p holds bit p of every cell's count). A comparison of the planes
 // with need, from the top bit down, yields the candidate words.
 func (d *Diagnoser) CandidatesVoted(v *bist.Verdicts, k, voteK int) *bitset.Set {
+	cand := bitset.New(d.cfg.NumCells)
+	d.candidatesVotedInto(v, k, voteK, cand)
+	return cand
+}
+
+// candidatesVotedInto writes CandidatesVoted(v, k, voteK) into dst, a set
+// sized over every cell (as NewResult's are), whatever it held before.
+func (d *Diagnoser) candidatesVotedInto(v *bist.Verdicts, k, voteK int, dst *bitset.Set) {
 	k = min(k, len(v.Fail))
 	voteK = max(voteK, 1)
 	need := k - voteK + 1
 	if need <= 0 {
 		// Fewer partitions than the threshold: nothing can be pruned.
-		return d.allCells()
+		d.allCellsInto(dst)
+		return
 	}
-	cand := bitset.New(d.cfg.NumCells)
-	out := cand.Words()
+	out := dst.Words()
 	np := bits.Len(uint(k)) // planes for counts up to k
 	var planeBuf [votePlanes * chunkWords]uint64
 	var xBuf [chunkWords]uint64
@@ -67,7 +75,6 @@ func (d *Diagnoser) CandidatesVoted(v *bist.Verdicts, k, voteK int) *bitset.Set 
 			out[lo+i] = gt | eq
 		}
 	}
-	return cand
 }
 
 // votePlanes is the counter depth CandidatesVoted keeps on the stack:
@@ -95,13 +102,19 @@ func (d *Diagnoser) nonPass(v *bist.Verdicts, t int, x []uint64, base int) {
 // every execution), so superposition pruning and confirmation are skipped
 // and the result is the widened-but-sound voted candidate set.
 func (d *Diagnoser) DiagnoseRobust(v *bist.Verdicts, voteK int) *Result {
+	r := d.NewResult()
+	d.DiagnoseRobustInto(v, voteK, r)
+	return r
+}
+
+// DiagnoseRobustInto writes DiagnoseRobust(v, voteK) into r, a NewResult
+// buffer, whatever it held before.
+func (d *Diagnoser) DiagnoseRobustInto(v *bist.Verdicts, voteK int, r *Result) {
 	if voteK <= 1 && !v.HasUnknown() {
-		return d.Diagnose(v)
+		d.DiagnoseInto(v, r)
+		return
 	}
-	cand := d.CandidatesVoted(v, len(v.Fail), voteK)
-	return &Result{
-		Candidates: cand,
-		Pruned:     cand.Clone(),
-		Confirmed:  bitset.New(d.cfg.NumCells),
-	}
+	d.candidatesVotedInto(v, len(v.Fail), voteK, r.Candidates)
+	copy(r.Pruned.Words(), r.Candidates.Words())
+	r.Confirmed.Reset()
 }

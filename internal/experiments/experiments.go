@@ -83,6 +83,9 @@ func Table1(ctx context.Context, cfg Config) ([]Table1Row, error) {
 		partition.TwoStep{},
 	}
 	const maxPartitions = 8
+	// The fault list is the circuit's, whatever the scheme: collapse it
+	// once.
+	faults := sim.SampleFaults(sim.CollapsedFaults(c), cfg.Faults, cfg.FaultSeed)
 	var studies []*core.Study
 	for _, s := range schemes {
 		b, err := core.NewCircuitBench(c, core.Options{
@@ -91,7 +94,6 @@ func Table1(ctx context.Context, cfg Config) ([]Table1Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		faults := sim.SampleFaults(b.Faults(), cfg.Faults, cfg.FaultSeed)
 		st, err := b.RunContext(ctx, faults)
 		if err != nil {
 			return nil, err
@@ -150,6 +152,7 @@ func Table2(ctx context.Context, cfg Config) ([]Table2Row, error) {
 	for _, setup := range table2Setup {
 		c := benchgen.MustGenerate(setup.name)
 		row := Table2Row{Circuit: setup.name, Groups: setup.groups, Partitions: table2Partitions}
+		faults := sim.SampleFaults(sim.CollapsedFaults(c), cfg.Faults, cfg.FaultSeed)
 		for i, s := range []partition.Scheme{partition.RandomSelection{}, partition.TwoStep{}} {
 			b, err := core.NewCircuitBench(c, core.Options{
 				Scheme: s, Groups: setup.groups, Partitions: table2Partitions, Patterns: 128, Workers: cfg.Workers, Cache: cfg.Cache,
@@ -157,7 +160,6 @@ func Table2(ctx context.Context, cfg Config) ([]Table2Row, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", setup.name, s.Name(), err)
 			}
-			faults := sim.SampleFaults(b.Faults(), cfg.Faults, cfg.FaultSeed)
 			st, err := b.RunContext(ctx, faults)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", setup.name, s.Name(), err)

@@ -62,6 +62,7 @@ func NoiseSweep(ctx context.Context, cfg Config) ([]NoiseRow, error) {
 	var rows []NoiseRow
 	for _, setup := range table2Setup {
 		c := benchgen.MustGenerate(setup.name)
+		faults := sim.SampleFaults(sim.CollapsedFaults(c), cfg.Faults, cfg.FaultSeed)
 		for _, lvl := range noiseLevels {
 			b, err := core.NewCircuitBench(c, core.Options{
 				Scheme:        partition.TwoStep{},
@@ -79,7 +80,6 @@ func NoiseSweep(ctx context.Context, cfg Config) ([]NoiseRow, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", setup.name, lvl.name, err)
 			}
-			faults := sim.SampleFaults(b.Faults(), cfg.Faults, cfg.FaultSeed)
 			st, err := b.RunContext(ctx, faults)
 			if err != nil {
 				return nil, err

@@ -13,7 +13,15 @@ func RunBatch(dst []int, n int) []int {
 		dst = step(dst, i)
 	}
 	trace(dst)
+	_ = box(n)
 	return finish(dst)
+}
+
+type pair struct{ a, b int }
+
+// box returns the address of a struct literal: a heap allocation.
+func box(n int) *pair {
+	return &pair{n, n} // want "allocation \\(address of a composite literal\\) on the zero-alloc batch-kernel path RunBatch → box"
 }
 
 // step grows its own slice in place: self-append amortizes against the
